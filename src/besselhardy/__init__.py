@@ -8,7 +8,6 @@ Monte Carlo cross-check, and realizes the local Hardy-space atom machinery
 small-time decay checks that sections are supposed to satisfy.
 """
 
-from .backend import USING_NUMBA, backend_name
 from .bessel import bessel_i_scaled, bessel_i_scaled_ratio
 from .errors import (
     BalanceUnreachable,
@@ -27,10 +26,9 @@ from .hardy import (
     Atom,
     AtomKind,
     AtomicCombination,
-    Cutoff,
+    Bump,
     HardyNormResult,
     PartitionBump,
-    atomic_synthesize,
     hardy_norm,
     local_hardy_norm,
     make_cancellative_atom,
@@ -85,6 +83,7 @@ from .semigroup import (
     FeynmanKacResult,
     SplittingScheme,
     besq_terminal_samples,
+    evolve_through,
     feynman_kac,
     heat_evolve,
     perturbation_residual,

@@ -5,15 +5,14 @@ and the Hankel large-argument expansion above it.  All public entry points
 return ``e^{-z} I_order(z)`` (or the ratio form ``e^{-z} I_order(z) z^{-order}``
 used by the heat kernel), so nothing overflows even for arguments of order 1e6.
 
-Both branches exist as scalar ``@njit`` kernels and as vectorized numpy
-fallbacks; ``backend.USING_NUMBA`` picks which one the array wrappers call.
+Both branches exist as plain-Python scalar kernels (which the ``quad``
+integrands call) and as vectorized numpy kernels (which the array wrappers
+call).
 """
 
 import math
 
 import numpy as np
-
-from .backend import USING_NUMBA, njit, prange
 
 # Branch crossover.  At z = 30 the truncation error of the Hankel expansion is
 # below e^{-2z} ~ 1e-26 for the orders used here, and the ascending series
@@ -25,7 +24,6 @@ _MAX_ASYM_TERMS = 40
 _LN2 = math.log(2.0)
 
 
-@njit(cache=True)
 def _series_sum(order: float, z: float) -> float:
     """Sum_m (z^2/4)^m / (m! * Gamma(m+order+1)); all terms positive."""
     term = 1.0 / math.gamma(order + 1.0)
@@ -39,7 +37,6 @@ def _series_sum(order: float, z: float) -> float:
     return total
 
 
-@njit(cache=True)
 def _asym_factor(order: float, z: float) -> float:
     """Hankel expansion factor: e^{-z} I_order(z) * sqrt(2 pi z), z >= seam."""
     mu4 = 4.0 * order * order
@@ -58,7 +55,6 @@ def _asym_factor(order: float, z: float) -> float:
     return total
 
 
-@njit(cache=True)
 def _ive_series_scalar(order: float, z: float) -> float:
     if z == 0.0:
         if order > 0.0:
@@ -69,40 +65,21 @@ def _ive_series_scalar(order: float, z: float) -> float:
     return math.exp(-z + order * math.log(0.5 * z)) * _series_sum(order, z)
 
 
-@njit(cache=True)
 def _ive_asym_scalar(order: float, z: float) -> float:
     return _asym_factor(order, z) / math.sqrt(2.0 * math.pi * z)
 
 
-@njit(cache=True)
 def _ive_scalar(order: float, z: float) -> float:
     if z < SERIES_ASYM_SEAM:
         return _ive_series_scalar(order, z)
     return _ive_asym_scalar(order, z)
 
 
-@njit(cache=True)
 def _ive_ratio_scalar(order: float, z: float) -> float:
     """e^{-z} I_order(z) z^{-order}; finite and positive down to z = 0."""
     if z < SERIES_ASYM_SEAM:
         return math.exp(-z - order * _LN2) * _series_sum(order, z)
     return _ive_asym_scalar(order, z) * math.exp(-order * math.log(z))
-
-
-@njit(cache=True, parallel=True)
-def _ive_array_numba(order: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    for i in prange(z.shape[0]):
-        out[i] = _ive_scalar(order, z[i])
-    return out
-
-
-@njit(cache=True, parallel=True)
-def _ive_ratio_array_numba(order: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    for i in prange(z.shape[0]):
-        out[i] = _ive_ratio_scalar(order, z[i])
-    return out
 
 
 def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
@@ -180,9 +157,7 @@ def bessel_i_scaled(order: float, z):
         raise ValueError("argument must be nonnegative")
     if arr.ndim == 0:
         return _ive_scalar(float(order), float(arr))
-    flat = np.ascontiguousarray(arr.ravel())
-    out = _ive_array_numba(float(order), flat) if USING_NUMBA else _ive_array_numpy(float(order), flat)
-    return out.reshape(arr.shape)
+    return _ive_array_numpy(float(order), arr.ravel()).reshape(arr.shape)
 
 
 def bessel_i_scaled_ratio(order: float, z):
@@ -193,13 +168,7 @@ def bessel_i_scaled_ratio(order: float, z):
         raise ValueError("argument must be nonnegative")
     if arr.ndim == 0:
         return _ive_ratio_scalar(float(order), float(arr))
-    flat = np.ascontiguousarray(arr.ravel())
-    out = (
-        _ive_ratio_array_numba(float(order), flat)
-        if USING_NUMBA
-        else _ive_ratio_array_numpy(float(order), flat)
-    )
-    return out.reshape(arr.shape)
+    return _ive_ratio_array_numpy(float(order), arr.ravel()).reshape(arr.shape)
 
 
 def series_branch(order: float, z: float) -> float:

@@ -2,10 +2,11 @@
 
 Subcommands mirror the library modules: kernel, section, semigroup, hardy,
 conditions, all.  Each suite writes CSV files plus a JSON summary into the
-output directory and contributes pass/fail lines; the exit status is 0 only
-if every executed check passed.  CSV bodies are byte-deterministic for a
-fixed configuration (seed included); wall-clock timing lives only in the
-summary.
+output directory and contributes pass/fail lines; a suite that stops on an
+input error is recorded as a failed ``<suite>.error`` check.  The exit
+status is 0 only if every executed check passed.  CSV bodies are
+byte-deterministic for a fixed configuration (seed included); wall-clock
+timing lives only in the summary.
 """
 
 from __future__ import annotations
@@ -471,7 +472,7 @@ def run_suite(cfg: RunConfig, suite: str) -> int:
     for name in names:
         try:
             all_results.extend(_RUNNERS[name](cfg))
-        except BesselHardyError as exc:
+        except (BesselHardyError, ValueError) as exc:
             all_results.append(CheckResult(f"{name}.error", False, {"error": type(exc).__name__, "message": str(exc)}, 0.0))
     summary = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

@@ -22,10 +22,11 @@ from scipy.integrate import quad
 
 from .errors import BalanceUnreachable
 from .grid import Grid, GridFunction
+from .hardy import Bump
 from .kernel import heat_kernel
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, schrodinger_apply
+from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through, schrodinger_apply
 
 
 def balance_functional(m: WeightedMeasure, potential: Potential, interval: Interval) -> float:
@@ -148,74 +149,15 @@ def find_balanced_J(
 # weak identity
 
 
-@dataclass(frozen=True)
-class SmoothBump:
+def SmoothBump(lo: float, hi: float, ramp_frac: float = 0.25) -> Bump:
     """Cubic smoothstep bump: 0 outside (lo, hi), plateau 1 in the middle."""
-
-    lo: float
-    hi: float
-    ramp_frac: float = 0.25
-
-    def _w(self) -> float:
-        return self.ramp_frac * (self.hi - self.lo)
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        w = self._w()
-        up = np.clip((x - self.lo) / w, 0.0, 1.0)
-        down = np.clip((self.hi - x) / w, 0.0, 1.0)
-        out = (up * up * (3 - 2 * up)) * (down * down * (3 - 2 * down))
-        return out if x.ndim else float(out)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        w = self._w()
-        up = np.clip((x - self.lo) / w, 0.0, 1.0)
-        down = np.clip((self.hi - x) / w, 0.0, 1.0)
-        s_up = up * up * (3 - 2 * up)
-        s_down = down * down * (3 - 2 * down)
-        d_up = 6.0 * up * (1.0 - up) / w
-        d_down = -6.0 * down * (1.0 - down) / w
-        out = d_up * s_down + s_up * d_down
-        return out if x.ndim else float(out)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        w = self._w()
-        return (self.lo, self.lo + w, self.hi - w, self.hi)
+    w = ramp_frac * (hi - lo)
+    return Bump(up=(lo, w), down=(hi - w, w))
 
 
-@dataclass(frozen=True)
-class LeftPlateauBump:
+def LeftPlateauBump(flat_to: float, zero_at: float) -> Bump:
     """psi == 1 on [0, flat_to], smoothstep down to 0 at zero_at."""
-
-    flat_to: float
-    zero_at: float
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        u = np.clip((self.zero_at - x) / (self.zero_at - self.flat_to), 0.0, 1.0)
-        out = u * u * (3 - 2 * u)
-        return out if x.ndim else float(out)
-
-    def derivative(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        w = self.zero_at - self.flat_to
-        u = np.clip((self.zero_at - x) / w, 0.0, 1.0)
-        out = -6.0 * u * (1.0 - u) / w
-        return out if x.ndim else float(out)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        return (0.0, self.zero_at)
-
-    @property
-    def kinks(self) -> tuple[float, ...]:
-        return (self.flat_to, self.zero_at)
+    return Bump(up=None, down=(flat_to, zero_at - flat_to))
 
 
 def phi_equation_residual(
@@ -301,11 +243,8 @@ def check_superharmonic(
     us = np.sort(np.asarray(u_grid, dtype=np.float64))
     thetas = np.empty(us.size)
     bars = np.empty(us.size)
-    current = phi_gf
-    prev = 0.0
-    for i, u in enumerate(us):
-        current = schrodinger_apply(m, potential, u - prev, current, scheme)
-        prev = u
+    sweep = evolve_through(m, potential, phi_gf, us, scheme)
+    for i, (u, current) in enumerate(zip(us, sweep)):
         thetas[i] = float(current.values[iz])
         bars[i] = _tail_bound(m, profile, z, u, grid.x_max)
     worst = 0.0
@@ -401,14 +340,9 @@ def check_condition_D(
         base = d.to_interval()
         y = float(grid.nodes[grid.index_of(base.center)])
         t0 = d.length**2
-        col = GridFunction.point_mass(grid, y)
-        masses = np.empty(n_max + 1)
-        prev = 0.0
-        for n in range(n_max + 1):
-            t_target = math.ldexp(t0, n)
-            col = schrodinger_apply(m, potential, t_target - prev, col, n_steps=steps_per_leg)
-            prev = t_target
-            masses[n] = col.integral()
+        times = [math.ldexp(t0, n) for n in range(n_max + 1)]
+        cols = evolve_through(m, potential, GridFunction.point_mass(grid, y), times, n_steps=steps_per_leg)
+        masses = np.array([col.integral() for col in cols])
         ns = np.arange(n_max + 1)
         tail = ns >= n_max // 2
         slope = _lsq_slope(ns[tail].astype(float), np.log2(np.maximum(masses[tail], 1e-300)))

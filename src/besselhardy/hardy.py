@@ -25,7 +25,7 @@ from .errors import CutoffViolation, MixedGrids, SupportViolation
 from .grid import CellRange, Grid, GridFunction
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, schrodinger_apply
+from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through
 
 CANCELLATION_REL_TOL = 1e-10
 
@@ -54,11 +54,6 @@ class Atom:
     @property
     def size_bound(self) -> float:
         return 1.0 / self.cells.mass
-
-
-def _smoothstep(u):
-    u = np.clip(u, 0.0, 1.0)
-    return u * u * (3.0 - 2.0 * u)
 
 
 def validate_atom(atom: Atom, beta: float = 1.2) -> None:
@@ -153,48 +148,89 @@ class AtomicCombination:
         return GridFunction(grid, out), self.certificate
 
 
-def atomic_synthesize(combo: AtomicCombination) -> tuple[GridFunction, float]:
-    return combo.synthesize()
-
-
 # ---------------------------------------------------------------------------
-# partition of unity
+# smoothstep bumps and the partition of unity
+
+
+def _smoothstep(x, start: float, width: float):
+    u = np.clip((x - start) / width, 0.0, 1.0)
+    return u * u * (3.0 - 2.0 * u)
+
+
+def _smoothstep_slope(x, start: float, width: float):
+    u = np.clip((x - start) / width, 0.0, 1.0)
+    return 6.0 * u * (1.0 - u) / width
 
 
 @dataclass(frozen=True)
-class PartitionBump:
-    """Smoothstep bump of one section interval.
+class Bump:
+    """Smoothstep bump: rises on ``up``, is 1 between the ramps, falls on ``down``.
 
-    Supported strictly inside the star I*; ramps live on the overlap with the
-    neighbouring stars, so the family sums to 1 on the window interior.  A
-    ramp of half-width d has slope at most 3/(4d), so the family satisfies
-    sup|phi'| <= 3 C0 / (2 ramp_frac (beta-1)) / |I| -- the price of keeping
-    the support inside I* with beta below 2^(1/3).
+    Each ramp is a (start, width) pair: with u = (x - start)/width clipped
+    to [0, 1], the rise is smoothstep(u) = 3u^2 - 2u^3 and the fall is
+    1 - smoothstep(u), so each ramp has slope at most 1.5/width.  A missing
+    ramp (None) leaves the bump at 1 down to the origin or out to infinity.
     """
 
-    host: Interval
-    star: Interval
-    ramp_lo: tuple[float, float] | None  # (boundary point, half-width)
-    ramp_hi: tuple[float, float] | None
+    up: tuple[float, float] | None
+    down: tuple[float, float] | None
+
+    @property
+    def _ramps(self) -> list[tuple[float, float]]:
+        return [r for r in (self.up, self.down) if r is not None]
 
     def __call__(self, x):
         x = np.asarray(x, dtype=np.float64)
         out = np.ones_like(x)
-        if self.ramp_lo is not None:
-            p, d = self.ramp_lo
-            out = out * _smoothstep((x - (p - d)) / (2.0 * d))
-        if self.ramp_hi is not None:
-            p, d = self.ramp_hi
-            out = out * (1.0 - _smoothstep((x - (p - d)) / (2.0 * d)))
-        res = out if x.ndim else float(out)
-        return res
+        if self.up is not None:
+            out = out * _smoothstep(x, *self.up)
+        if self.down is not None:
+            out = out * (1.0 - _smoothstep(x, *self.down))
+        return out if x.ndim else float(out)
+
+    def derivative(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        rise = fall = np.ones_like(x)
+        d_rise = d_fall = np.zeros_like(x)
+        if self.up is not None:
+            rise, d_rise = _smoothstep(x, *self.up), _smoothstep_slope(x, *self.up)
+        if self.down is not None:
+            fall, d_fall = 1.0 - _smoothstep(x, *self.down), -_smoothstep_slope(x, *self.down)
+        out = d_rise * fall + rise * d_fall
+        return out if x.ndim else float(out)
+
+    @property
+    def support(self) -> tuple[float, float]:
+        lo = self.up[0] if self.up is not None else 0.0
+        hi = self.down[0] + self.down[1] if self.down is not None else math.inf
+        return (lo, hi)
+
+    @property
+    def kinks(self) -> tuple[float, ...]:
+        return tuple(p for a, w in self._ramps for p in (a, a + w))
 
     @property
     def slope_bound(self) -> float:
-        widths = [r[1] for r in (self.ramp_lo, self.ramp_hi) if r is not None]
-        if not widths:
-            return 0.0
-        return 0.75 / min(widths)
+        widths = [w for _, w in self._ramps]
+        return 1.5 / min(widths) if widths else 0.0
+
+
+@dataclass(frozen=True)
+class PartitionBump(Bump):
+    """Bump of one section interval, supported strictly inside the star I*.
+
+    Its ramps live on the overlap with the neighbouring stars, so the family
+    sums to 1 on the window interior.  A ramp of width 2d has slope at most
+    3/(4d), so the family satisfies sup|phi'| <= 3 C0 / (2 ramp_frac (beta-1))
+    / |I| -- the price of keeping the support inside I* with beta below 2^(1/3).
+    """
+
+    host: Interval
+    star: Interval
+
+
+def _centered_ramp(point: float, half_width: float) -> tuple[float, float]:
+    return (point - half_width, 2.0 * half_width)
 
 
 def partition_of_unity(section: ProperSection, ramp_frac: float = 0.9) -> list[PartitionBump]:
@@ -212,20 +248,19 @@ def partition_of_unity(section: ProperSection, ramp_frac: float = 0.9) -> list[P
         host = d.to_interval()
         star = enlarge(host, beta)
         ramp_lo = None
-        ramp_hi = None
         if j > 0:
             delta = 0.5 * ramp_frac * (beta - 1.0) * min(ivs[j - 1].length, d.length)
-            ramp_lo = (host.a, delta)
+            ramp_lo = _centered_ramp(host.a, delta)
         elif star.a > 0.0 and host.a > 0.0:
             delta = (host.a - star.a) / 3.0
-            ramp_lo = (star.a + 2.0 * delta, delta)
+            ramp_lo = _centered_ramp(star.a + 2.0 * delta, delta)
         if j + 1 < len(ivs):
             delta = 0.5 * ramp_frac * (beta - 1.0) * min(ivs[j + 1].length, d.length)
-            ramp_hi = (host.b, delta)
+            ramp_hi = _centered_ramp(host.b, delta)
         else:
             delta = (star.b - host.b) / 3.0
-            ramp_hi = (star.b - 2.0 * delta, delta)
-        bumps.append(PartitionBump(host, star, ramp_lo, ramp_hi))
+            ramp_hi = _centered_ramp(star.b - 2.0 * delta, delta)
+        bumps.append(PartitionBump(ramp_lo, ramp_hi, host, star))
     return bumps
 
 
@@ -251,11 +286,7 @@ def maximal_function(
     if ts.size == 0 or ts[0] <= 0.0:
         raise ValueError("time grid must be positive and nonempty")
     best = np.zeros(len(f.grid))
-    current = f
-    prev = 0.0
-    for t in ts:
-        current = schrodinger_apply(m, potential, t - prev, current, scheme)
-        prev = t
+    for current in evolve_through(m, potential, f, ts, scheme):
         np.maximum(best, np.abs(current.values), out=best)
     return GridFunction(f.grid, best)
 
@@ -293,17 +324,13 @@ def hardy_norm(
     """
     ts = log_time_grid(t_min, 2.0 * t_max, n_times + max(2, n_times // 8))
     best = np.zeros(len(f.grid))
-    current = f
-    prev = 0.0
     norm_half = norm_full = None
     w = f.grid.weights
-    for t in ts:
+    for t, current in zip(ts, evolve_through(m, potential, f, ts, scheme)):
         if norm_half is None and t > 0.5 * t_max:
             norm_half = float(w @ best)
         if norm_full is None and t > t_max * (1.0 + 1e-12):
             norm_full = float(w @ best)
-        current = schrodinger_apply(m, potential, t - prev, current, scheme)
-        prev = t
         np.maximum(best, np.abs(current.values), out=best)
     norm_double = float(w @ best)
     return HardyNormResult(
@@ -333,36 +360,8 @@ def local_hardy_norm(
 # cutoffs and the re-supporting decomposition
 
 
-@dataclass(frozen=True)
-class Cutoff:
-    """psi == 1 on the plateau, psi == 0 outside the support, smoothstep ramps."""
-
-    plateau: Interval
-    support: Interval
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        out = np.ones_like(x)
-        lo_gap = self.plateau.a - self.support.a
-        if lo_gap > 0.0:
-            out = out * _smoothstep((x - self.support.a) / lo_gap)
-        hi_gap = self.support.b - self.plateau.b
-        if hi_gap > 0.0:
-            out = out * (1.0 - _smoothstep((x - self.plateau.b) / hi_gap))
-        return out if x.ndim else float(out)
-
-    @property
-    def slope_bound(self) -> float:
-        gaps = [
-            g
-            for g in (self.plateau.a - self.support.a, self.support.b - self.plateau.b)
-            if g > 0.0
-        ]
-        return 1.5 / min(gaps) if gaps else 0.0
-
-
-def make_cutoff(host: Interval, beta: float = 1.2, grid: Grid | None = None) -> Cutoff:
-    """Canonical cutoff between I* and I**.
+def make_cutoff(host: Interval, beta: float = 1.2, grid: Grid | None = None) -> Bump:
+    """Canonical cutoff between I* and I**: 1 on I*, smoothstep ramps to 0 at I**.
 
     With a grid, the outer support is snapped inward to cell edges so the
     cutoff vanishes exactly at the nodes outside it; re-supported atoms then
@@ -375,7 +374,12 @@ def make_cutoff(host: Interval, beta: float = 1.2, grid: Grid | None = None) -> 
         i1 = int(np.searchsorted(grid.edges, star2.b, side="right")) - 1
         if grid.edges[i0] < star.a and grid.edges[i1] > star.b and i1 > i0:
             star2 = Interval(float(grid.edges[i0]), float(grid.edges[i1]))
-    return Cutoff(plateau=star, support=star2)
+    lo_gap = star.a - star2.a
+    hi_gap = star2.b - star.b
+    return Bump(
+        up=(star2.a, lo_gap) if lo_gap > 0.0 else None,
+        down=(star.b, hi_gap) if hi_gap > 0.0 else None,
+    )
 
 
 def _check_cutoff(psi: Callable, host: Interval, beta: float, grid: Grid) -> None:

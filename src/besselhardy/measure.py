@@ -72,16 +72,6 @@ class Interval:
     def contains_interval(self, other: "Interval") -> bool:
         return self.a <= other.a and other.b <= self.b
 
-    def intersect(self, other: "Interval") -> "Interval | None":
-        lo = max(self.a, other.a)
-        hi = min(self.b, other.b)
-        if lo >= hi:
-            return None
-        return Interval(lo, hi)
-
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.a, other.a), max(self.b, other.b))
-
 
 def ball(x: float, r: float) -> Interval:
     """B(x, r) intersected with (0, inf); keeps the untruncated radius."""
@@ -225,13 +215,6 @@ class Potential:
         if self.power_coeff > 0.0:
             out += self.power_coeff * arr ** (-self.power_exponent)
         return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-    def max_on(self, interval: Interval) -> float:
-        vals = [v for a, b, v in self.pieces if max(a, interval.a) < min(b, interval.b)]
-        top = sum(vals)
-        if self.power_coeff > 0.0:
-            top += self.power_coeff * interval.a ** (-self.power_exponent) if interval.a > 0 else math.inf
-        return top
 
 
 def parse_potential(text: str, source: str = "<inline>") -> Potential:

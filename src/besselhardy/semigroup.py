@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -93,6 +93,27 @@ def schrodinger_apply(
     )
 
 
+def evolve_through(
+    m: WeightedMeasure,
+    potential: Potential,
+    f: GridFunction,
+    times,
+    scheme: SplittingScheme = DEFAULT_SCHEME,
+    n_steps: int | None = None,
+) -> Iterator[GridFunction]:
+    """Yield K_t f for each t of the increasing ``times``, leg by leg.
+
+    Each leg from the previous time is one ``schrodinger_apply`` call, so a
+    sweep builds one kernel matrix per distinct leg step size.
+    """
+    current = f
+    prev = 0.0
+    for t in times:
+        current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
+        prev = t
+        yield current
+
+
 def heat_evolve(
     m: WeightedMeasure,
     t: float,
@@ -138,6 +159,24 @@ class FeynmanKacResult:
     n_steps: int
 
 
+def _bessel_path(
+    m: WeightedMeasure, t: float, x0: float, n_paths: int, n_steps: int, rng
+) -> Iterator[np.ndarray]:
+    """Yield the Bessel process radii at times 0, t/n_steps, ..., t.
+
+    B is the Bessel process generated by the weighted Laplacian; its square
+    is a squared Bessel process of dimension alpha + 1 run at double speed,
+    so each step draws an exact noncentral chi-square transition.
+    """
+    dim = m.alpha + 1.0
+    s = 2.0 * (t / n_steps)
+    ysq = np.full(n_paths, x0 * x0)
+    yield np.sqrt(ysq)
+    for _ in range(n_steps):
+        ysq = s * rng.noncentral_chisquare(dim, ysq / s, size=n_paths)
+        yield np.sqrt(ysq)
+
+
 def feynman_kac(
     m: WeightedMeasure,
     potential: Potential,
@@ -150,9 +189,7 @@ def feynman_kac(
 ) -> FeynmanKacResult:
     """Monte Carlo estimate of E^x0[ exp(-int_0^t V(B_s) ds) f(B_t) ].
 
-    B is the Bessel process generated by the weighted Laplacian; its square
-    is a squared Bessel process of dimension alpha + 1 run at double speed,
-    so each step draws an exact noncentral chi-square transition.  The
+    The paths are exact Bessel process transitions (``_bessel_path``); the
     potential integral is accumulated by the trapezoid rule along the path.
     Identical (seed, n_paths, n_steps) inputs give bit-identical results.
     """
@@ -161,24 +198,20 @@ def feynman_kac(
     if x0 <= 0.0 or t <= 0.0:
         raise ValueError("need x0 > 0 and t > 0")
     potential.validate_for(m.alpha)
-    rng = np.random.default_rng(seed)
-    dim = m.alpha + 1.0
     dt = t / n_steps
-    s = 2.0 * dt  # squared-Bessel clock runs twice as fast
-    ysq = np.full(n_paths, x0 * x0)
+    path = _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed))
     with np.errstate(over="ignore"):
-        v_prev = np.asarray(potential(np.sqrt(ysq)), dtype=np.float64)
+        v_prev = np.asarray(potential(next(path)), dtype=np.float64)
         accum = np.zeros(n_paths)
-        for _ in range(n_steps):
-            ysq = s * rng.noncentral_chisquare(dim, ysq / s, size=n_paths)
-            v_cur = np.asarray(potential(np.sqrt(ysq)), dtype=np.float64)
+        for r in path:
+            v_cur = np.asarray(potential(r), dtype=np.float64)
             accum += (0.5 * dt) * (v_prev + v_cur)
             v_prev = v_cur
     if not np.all(np.isfinite(accum)):
         raise QuadratureBudgetExceeded(
             "potential integral overflowed along a path (V unbounded on the range)"
         )
-    vals = np.exp(-accum) * np.asarray(f(np.sqrt(ysq)), dtype=np.float64)
+    vals = np.exp(-accum) * np.asarray(f(r), dtype=np.float64)
     est = float(np.mean(vals))
     err = float(np.std(vals, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else math.inf
     return FeynmanKacResult(est, err, seed, n_paths, n_steps)
@@ -188,13 +221,9 @@ def besq_terminal_samples(
     m: WeightedMeasure, t: float, x0: float, n_paths: int, n_steps: int, seed: int
 ) -> np.ndarray:
     """Terminal B_t samples of the free Bessel process (marginal checks)."""
-    rng = np.random.default_rng(seed)
-    dim = m.alpha + 1.0
-    s = 2.0 * (t / n_steps)
-    ysq = np.full(n_paths, x0 * x0)
-    for _ in range(n_steps):
-        ysq = s * rng.noncentral_chisquare(dim, ysq / s, size=n_paths)
-    return np.sqrt(ysq)
+    for r in _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed)):
+        pass
+    return r
 
 
 @dataclass(frozen=True)
@@ -233,20 +262,12 @@ def perturbation_residual(
     s_w = s_w[order]
 
     v_nodes = np.asarray(potential(grid.nodes), dtype=np.float64)
-    col = GridFunction.point_mass(grid, y)
+    cols = evolve_through(m, potential, GridFunction.point_mass(grid, y), [*s_vals, t], scheme)
     rhs = 0.0
-    prev_s = 0.0
-    for s_val, w_s in zip(s_vals, s_w):
-        leg = s_val - prev_s
-        if leg > 0.0:
-            col = schrodinger_apply(m, potential, leg, col, scheme)
-        prev_s = s_val
+    for s_val, w_s, col in zip(s_vals, s_w, cols):
         row = heat_kernel(m, t - s_val, x, grid.nodes)
         rhs += w_s * float((row * v_nodes * col.values) @ grid.weights)
-
-    tail = t - prev_s
-    if tail > 0.0:
-        col = schrodinger_apply(m, potential, tail, col, scheme)
+    col = next(cols)  # the last leg, from the largest node to t
     p_xy = heat_kernel(m, t, x, float(grid.nodes[grid.index_of(y)]))
     k_xy = float(col.values[ix])
     lhs = p_xy - k_xy

@@ -95,3 +95,20 @@ class TestSuites:
             assert main(["kernel", "--seed", "3", "--out", str(out)]) == 0
         for name in ("kernel_normalization.csv", "kernel_gaussian.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_input_error_becomes_failed_check(self, tmp_path):
+        # sections need alpha in (0, 1); the suite fails without a traceback
+        rc = main(["section", "--alpha", "1.5", "--out", str(tmp_path)])
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [c["name"] for c in summary["checks"]] == ["section.error"]
+        assert summary["checks"][0]["details"]["error"] == "ValueError"
+
+    def test_all_runs_every_suite_past_an_input_error(self, tmp_path):
+        rc = main(["all", "--alpha", "1.5", "--grid", "96:12:20", "--out", str(tmp_path)])
+        assert rc == 1
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        names = [c["name"] for c in summary["checks"]]
+        assert "kernel.normalization" in names
+        assert "semigroup.domination_contraction" in names
+        assert "section.error" in names

@@ -10,6 +10,7 @@ from besselhardy import (
     GridFunction,
     Interval,
     KernelEval,
+    MixedGrids,
     SampleSpec,
     ScalingNotConverged,
     WeightedMeasure,
@@ -140,6 +141,21 @@ class TestHeatApply:
             assert_sub_markov(kernel_matrix(m_half, grid_half, dt), w)
             ones = heat_apply(m_half, dt, GridFunction.ones(grid_half))
             assert ones.values.max() <= 1.0
+
+
+class TestMatrixAssembly:
+    @pytest.mark.parametrize("t", [1e-3, 0.3])
+    def test_matrix_is_the_pointwise_kernel(self, t):
+        # one kernel formula: the unscaled matrix is heat_kernel on the node pairs
+        m = WeightedMeasure(0.5)
+        grid = Grid.build(m, 320, 30.0, 60.0)  # the CLI's default grid
+        x = grid.nodes
+        raw = kernel_matrix(m, grid, t, substochastic=False)
+        assert np.array_equal(raw, heat_kernel(m, t, x[:, None], x[None, :]))
+
+    def test_mismatched_measure_rejected(self, grid_half):
+        with pytest.raises(MixedGrids, match="alpha"):
+            kernel_matrix(WeightedMeasure(1.5), grid_half, 0.1)
 
 
 class TestSubMarkov:

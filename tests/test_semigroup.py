@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from besselhardy import (
@@ -19,6 +21,7 @@ from besselhardy import (
     schrodinger_apply,
     schrodinger_kernel_column,
 )
+from besselhardy.grid import Grid
 from conftest import fit_slope
 
 SCHEME = SplittingScheme(steps_per_unit=32.0, min_steps=2)
@@ -110,6 +113,38 @@ class TestSplitting:
         slope = fit_slope(np.log2(steps_list), np.log2(errs))
         assert slope < -0.8  # still convergent
         assert np.all(np.diff(errs) < 0)
+
+
+class TestEvolutionProperties:
+    """Split and heat evolution with the same steps keep the continuous structure."""
+
+    @given(
+        alpha=st.floats(min_value=0.2, max_value=3.0),
+        n=st.integers(min_value=8, max_value=150),
+        ratio=st.floats(min_value=1.0, max_value=1000.0),
+        x_max=st.floats(min_value=2.0, max_value=60.0),
+        t=st.floats(min_value=1e-3, max_value=2.0),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+        levels=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=5, max_size=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_positivity_domination_contraction(self, alpha, n, ratio, x_max, t, cuts, levels, seed):
+        m = WeightedMeasure(alpha)
+        grid = Grid.build(m, n, x_max, ratio)
+        inner = sorted({p for p in (x_max * c for c in cuts) if 0.0 < p < x_max})
+        ends = [0.0, *inner, x_max]
+        v = Potential(pieces=tuple((a, b, lev) for a, b, lev in zip(ends, ends[1:], levels)))
+        rng = np.random.default_rng(seed)
+        f = GridFunction(grid, rng.uniform(0.0, 2.0, n) * (rng.uniform(size=n) < 0.7))
+        steps = SCHEME.steps_for(t)
+        ks = schrodinger_apply(m, v, t, f, SCHEME)
+        ph = heat_evolve(m, t, f, SCHEME, n_steps=steps)
+        assert np.all(ks.values >= 0.0)
+        assert np.all(ks.values <= ph.values)
+        for out in (ks, ph):
+            assert out.l1() <= f.l1()
+            assert out.values.max() <= f.values.max()
 
 
 class TestKernelColumn:
