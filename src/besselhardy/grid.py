@@ -53,10 +53,14 @@ class Grid:
         if n < 2 or x_max <= 0.0 or ratio < 1.0:
             raise ValueError("need n >= 2, x_max > 0, ratio >= 1")
         i = np.arange(n + 1, dtype=np.float64) / n
-        if ratio == 1.0:
-            edges = x_max * i
-        else:
-            edges = x_max * (ratio**i - 1.0) / (ratio - 1.0)
+        edges = x_max * i
+        if ratio > 1.0:
+            stretched = x_max * (ratio**i - 1.0) / (ratio - 1.0)
+            stretched[-1] = x_max
+            # within rounding of 1 the geometric edges stop increasing
+            # strictly; the uniform grid is their limit
+            if np.all(np.diff(stretched) > 0.0):
+                edges = stretched
         edges[0] = 0.0
         edges[-1] = x_max
         pts = sorted({float(b) for b in breakpoints if 0.0 < b < x_max})

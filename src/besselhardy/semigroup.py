@@ -101,16 +101,20 @@ def evolve_through(
     scheme: SplittingScheme = DEFAULT_SCHEME,
     n_steps: int | None = None,
 ) -> Iterator[GridFunction]:
-    """Yield K_t f for each t of the increasing ``times``, leg by leg.
+    """Yield K_t f for each t of the positive nondecreasing ``times``, leg by leg.
 
     Each leg from the previous time is one ``schrodinger_apply`` call, so a
-    sweep builds one kernel matrix per distinct leg step size.
+    sweep builds one kernel matrix per distinct leg step size.  A repeated
+    time yields the current function again, since K_0 is the identity.
     """
     current = f
     prev = 0.0
     for t in times:
-        current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
-        prev = t
+        if not (t > 0.0 and t >= prev):  # also rejects NaN
+            raise ValueError(f"times must be positive and nondecreasing, got {float(t)!r} after {float(prev)!r}")
+        if t > prev:
+            current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
+            prev = t
         yield current
 
 

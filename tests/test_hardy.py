@@ -143,6 +143,13 @@ class TestMaximalFunction:
         want = heat_evolve(m_half, 0.3, f, SCHEME)
         assert np.array_equal(got.values, np.abs(want.values))
 
+    def test_repeated_time_is_an_identity_leg(self, m_half, grid_half):
+        # K_0 is the identity: a repeated time adds nothing to the sup
+        f = GridFunction(grid_half, np.exp(-((grid_half.nodes - 2.0) ** 2)))
+        got = maximal_function(m_half, Potential.zero(), f, [0.1, 0.1, 0.2], SCHEME)
+        want = maximal_function(m_half, Potential.zero(), f, [0.1, 0.2], SCHEME)
+        assert np.array_equal(got.values, want.values)
+
     def test_monotone_in_time_grid(self, m_half, grid_half):
         # enlarging the time grid can only grow the sup; the cumulative
         # evolution adds splitting noise at shared times, hence the epsilon

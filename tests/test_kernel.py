@@ -21,6 +21,7 @@ from besselhardy import (
     kernel_matrix,
 )
 from besselhardy import kernel as kernel_module
+from besselhardy.bessel import bessel_i_scaled_ratio
 from besselhardy.grid import Grid
 from besselhardy.kernel import MASS_CAP
 
@@ -35,6 +36,13 @@ def assert_sub_markov(mat, w):
     root = np.sqrt(w)
     sym = root[:, None] * mat * root
     np.testing.assert_allclose(sym, sym.T, rtol=1e-14, atol=TINY)
+
+
+def full_square_kernel(nu, t, x, y):
+    """Gaussian factor and P_t(x, y) with the Bessel factor evaluated at every pair."""
+    d = x - y
+    gauss = np.exp(-(d * d) * (0.25 / t))
+    return gauss, (2.0 * t) ** (-1.0 - nu) * gauss * bessel_i_scaled_ratio(nu, x * y / (2.0 * t))
 
 
 class TestPointwise:
@@ -152,6 +160,45 @@ class TestMatrixAssembly:
         x = grid.nodes
         raw = kernel_matrix(m, grid, t, substochastic=False)
         assert np.array_equal(raw, heat_kernel(m, t, x[:, None], x[None, :]))
+
+    @pytest.mark.parametrize("t", [1e-5, 1e-3, 1.0 / 32.0, 3.0])
+    def test_band_matches_the_full_square(self, t):
+        # the Bessel factor is skipped where the Gaussian factor underflows
+        # and only the upper triangle is evaluated; neither may move a bit
+        m = WeightedMeasure(0.5)
+        grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+        x = grid.nodes
+        gauss, want = full_square_kernel(m.kernel_order, t, x[:, None], x[None, :])
+        mat = kernel_matrix(m, grid, t, substochastic=False)
+        assert np.array_equal(mat, want)
+        assert np.array_equal(mat, mat.T)
+        # where the Gaussian factor underflows the entry is +0.0; a few more
+        # entries are 0.0 because the whole product underflows, as in the oracle
+        dead = mat[gauss == 0.0]
+        assert np.all(dead == 0.0) and not np.signbit(dead).any()
+
+    @given(
+        alpha=st.floats(min_value=0.2, max_value=3.0),
+        n=st.integers(min_value=2, max_value=120),
+        ratio=st.floats(min_value=1.0, max_value=1000.0),
+        x_max=st.floats(min_value=0.5, max_value=60.0),
+        t=st.floats(min_value=1e-5, max_value=10.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pointwise_band_matches_the_full_square(self, alpha, n, ratio, x_max, t, seed):
+        m = WeightedMeasure(alpha)
+        grid = Grid.build(m, n, x_max, ratio)
+        rng = np.random.default_rng(seed)
+        # node pairs, random points up to 20 x_max apart and one pair whose
+        # Gaussian factor is 0.0 at every t drawn
+        x = np.concatenate([grid.nodes, rng.uniform(0.0, 20.0 * x_max, n), [1e3]])
+        y = np.concatenate([grid.nodes[::-1], rng.uniform(0.0, x_max, n), [0.5]])
+        _, want = full_square_kernel(m.kernel_order, t, x, y)
+        got = heat_kernel(m, t, x, y)
+        assert np.array_equal(got, want) and not np.signbit(got[-1])
+        mat = kernel_matrix(m, grid, t, substochastic=False)
+        assert np.array_equal(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1])
 
     def test_mismatched_measure_rejected(self, grid_half):
         with pytest.raises(MixedGrids, match="alpha"):

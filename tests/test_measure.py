@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from besselhardy import (
     ConfigError,
+    Grid,
     Interval,
     LengthConvention,
     NonLocallyIntegrable,
@@ -247,3 +248,11 @@ class TestPotentialFormat:
     def test_bad_arity_rejected(self):
         with pytest.raises(ConfigError):
             parse_potential("piece 0 1\n")
+
+
+class TestGridBuild:
+    def test_ratio_within_rounding_of_one_is_uniform(self):
+        # the geometric edges for this ratio do not increase strictly
+        m = WeightedMeasure(1.0)
+        near = Grid.build(m, 8, 2.0, 1.0 + 2.0**-52)
+        assert np.array_equal(near.edges, Grid.build(m, 8, 2.0, 1.0).edges)

@@ -14,6 +14,7 @@ from besselhardy import (
     SplittingScheme,
     WeightedMeasure,
     besq_terminal_samples,
+    evolve_through,
     feynman_kac,
     heat_evolve,
     heat_kernel,
@@ -113,6 +114,12 @@ class TestSplitting:
         slope = fit_slope(np.log2(steps_list), np.log2(errs))
         assert slope < -0.8  # still convergent
         assert np.all(np.diff(errs) < 0)
+
+
+    def test_decreasing_times_rejected(self, m_half, grid_half):
+        sweep = evolve_through(m_half, Potential.zero(), bump(grid_half), [0.2, 0.1], SCHEME)
+        with pytest.raises(ValueError, match="0.1 after 0.2"):
+            list(sweep)
 
 
 class TestEvolutionProperties:
