@@ -8,6 +8,14 @@ used by the heat kernel), so nothing overflows even for arguments of order 1e6.
 Both branches exist as plain-Python scalar kernels (which the ``quad``
 integrands call) and as vectorized numpy kernels (which the array wrappers
 call).
+
+Each element of an array kernel stops where the scalar loop would: the series
+once its last term is at most 1e-18 of its total, the Hankel expansion once
+its terms stop shrinking or the same test holds.  Finished elements leave the
+loop whenever at least half the active ones are done.  No bit moves against
+running every element until the slowest has converged: every later term is
+smaller again, under half an ulp of the total, so round-to-nearest would add
+nothing, and each remaining element sees the same float operations.
 """
 
 import math
@@ -83,34 +91,61 @@ def _ive_ratio_scalar(order: float, z: float) -> float:
 
 
 def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
+    """Array form of ``_series_sum``; each element stops at its own last term.
+
+    Past an element's stop every later term is smaller and below 1e-18 of
+    its total, under half an ulp, so summing on would leave the total as is.
+    """
     q = 0.25 * z * z
     term = np.full(z.shape, 1.0 / math.gamma(order + 1.0))
     total = term.copy()
+    out = np.empty_like(total)
+    idx = np.arange(z.size)
     for m in range(1, _MAX_SERIES_TERMS):
         term = term * (q / (m * (m + order)))
         total += term
-        if np.all(term <= 1e-18 * total):
-            break
-    return total
+        done = term <= 1e-18 * total  # stays true: the terms only shrink from here
+        n_done = np.count_nonzero(done)
+        if 2 * n_done >= done.size:
+            out[idx[done]] = total[done]
+            if n_done == done.size:
+                return out
+            keep = ~done
+            idx, q, term, total = idx[keep], q[keep], term[keep], total[keep]
+    out[idx] = total
+    return out
 
 
 def _asym_factor_numpy(order: float, z: np.ndarray) -> np.ndarray:
+    """Array form of ``_asym_factor``; each element stops on its own.
+
+    An element is done once its terms stop shrinking (it is dead and its
+    total frozen) or its last term is below 1e-18 of its total; any later
+    term the scalar loop would still add is smaller again, under half an ulp.
+    A done element gets prev = -1, so it stays frozen until it is compacted.
+    """
     mu4 = 4.0 * order * order
     term = np.ones_like(z)
     total = np.ones_like(z)
     prev = np.ones_like(z)
-    alive = np.ones(z.shape, dtype=bool)
+    out = np.empty_like(z)
+    idx = np.arange(z.size)
     for k in range(_MAX_ASYM_TERMS):
         term = term * (-(mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1))) / z
         a = np.abs(term)
-        alive &= a < prev
-        if not alive.any():
-            break
+        alive = a < prev
         total = np.where(alive, total + term, total)
-        prev = np.where(alive, a, prev)
-        if np.all(a[alive] <= 1e-18 * np.abs(total[alive])):
-            break
-    return total
+        prev = np.where(alive & ~(a <= 1e-18 * np.abs(total)), a, -1.0)
+        done = prev < 0.0
+        n_done = np.count_nonzero(done)
+        if 2 * n_done >= done.size:
+            out[idx[done]] = total[done]
+            if n_done == done.size:
+                return out
+            keep = ~done
+            idx, z, term, total, prev = idx[keep], z[keep], term[keep], total[keep], prev[keep]
+    out[idx] = total
+    return out
 
 
 def _ive_array_numpy(order: float, z: np.ndarray) -> np.ndarray:

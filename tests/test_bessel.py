@@ -3,8 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ive
 
+from besselhardy import bessel as bessel_module
 from besselhardy import bessel_i_scaled, bessel_i_scaled_ratio
 from besselhardy.bessel import SERIES_ASYM_SEAM, asymptotic_branch, series_branch
 
@@ -109,3 +112,67 @@ class TestAgainstScipy:
         vals = bessel_i_scaled(0.0, zs)
         assert vals[0] == 1.0
         assert np.all(np.diff(vals) < 1e-15)
+
+
+def global_break_series(order, z):
+    """The array series loop that runs every element until the slowest converges."""
+    q = 0.25 * z * z
+    term = np.full(z.shape, 1.0 / math.gamma(order + 1.0))
+    total = term.copy()
+    for m in range(1, 260):
+        term = term * (q / (m * (m + order)))
+        total += term
+        if np.all(term <= 1e-18 * total):
+            break
+    return total
+
+
+def global_break_asym(order, z):
+    """The array Hankel loop that runs every element until all are dead or converged."""
+    mu4 = 4.0 * order * order
+    term = np.ones_like(z)
+    total = np.ones_like(z)
+    prev = np.ones_like(z)
+    alive = np.ones(z.shape, dtype=bool)
+    for k in range(40):
+        term = term * (-(mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1))) / z
+        a = np.abs(term)
+        alive &= a < prev
+        if not alive.any():
+            break
+        total = np.where(alive, total + term, total)
+        prev = np.where(alive, a, prev)
+        if np.all(a[alive] <= 1e-18 * np.abs(total[alive])):
+            break
+    return total
+
+
+SPECIAL_Z = [0.0, 1e-300, float(np.nextafter(SERIES_ASYM_SEAM, 0.0)), SERIES_ASYM_SEAM,
+             float(np.nextafter(SERIES_ASYM_SEAM, 60.0)), math.nan]
+
+
+class TestPerElementTermination:
+    """Stopping each element on its own moves no bit against the global break."""
+
+    @given(
+        order=st.floats(min_value=-1.0, max_value=3.0, exclude_min=True),
+        z=st.lists(
+            st.one_of(
+                st.sampled_from(SPECIAL_Z),
+                st.floats(min_value=0.0, max_value=60.0),
+                st.floats(min_value=0.0, max_value=1e7),
+            ),
+            min_size=1,
+            max_size=200,
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_global_break(self, order, z):
+        z = np.array(z)
+        got = bessel_i_scaled_ratio(order, z), bessel_i_scaled(order, z)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bessel_module, "_series_sum_numpy", global_break_series)
+            mp.setattr(bessel_module, "_asym_factor_numpy", global_break_asym)
+            want = bessel_i_scaled_ratio(order, z), bessel_i_scaled(order, z)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w, equal_nan=True)

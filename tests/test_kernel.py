@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,10 @@ def assert_sub_markov(mat, w):
     root = np.sqrt(w)
     sym = root[:, None] * mat * root
     np.testing.assert_allclose(sym, sym.T, rtol=1e-14, atol=TINY)
+
+
+def grid_of_test14(m, n=900):
+    return Grid.build(m, n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
 
 
 def full_square_kernel(nu, t, x, y):
@@ -200,9 +205,60 @@ class TestMatrixAssembly:
         mat = kernel_matrix(m, grid, t, substochastic=False)
         assert np.array_equal(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1])
 
+    @pytest.mark.parametrize("t", [1e-5, 1.0 / 32.0, 3.0])
+    def test_block_size_moves_no_bit(self, monkeypatch, t):
+        # one row per block, blocks that split nothing evenly, and the default
+        m = WeightedMeasure(0.5)
+        built = []
+        for pairs in (1, 97, 1 << 16):
+            monkeypatch.setattr(kernel_module, "_BLOCK_PAIRS", pairs)
+            grid = grid_of_test14(m)
+            built.append((kernel_matrix(m, grid, t, substochastic=False), kernel_matrix(m, grid, t)))
+        for raw, scaled in built[1:]:
+            assert np.array_equal(raw, built[0][0])
+            assert np.array_equal(scaled, built[0][1])
+
+    def test_assembly_peak_memory(self):
+        # row blocks keep every array but the matrix itself small
+        m = WeightedMeasure(0.5)
+        grid = grid_of_test14(m)
+        tracemalloc.start()
+        try:
+            mat = kernel_matrix(m, grid, 3.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * mat.nbytes
+
+    def test_matrix_starts_on_a_cache_line(self, m_half):
+        # dense matvecs ran about 10% slower on a matrix 16 bytes past a page boundary
+        grid = Grid.build(m_half, 420, 24.0, 80.0)
+        for t in (1e-3, 0.1):
+            for scaled in (False, True):
+                assert kernel_matrix(m_half, grid, t, substochastic=scaled).ctypes.data % 64 == 0
+
     def test_mismatched_measure_rejected(self, grid_half):
         with pytest.raises(MixedGrids, match="alpha"):
             kernel_matrix(WeightedMeasure(1.5), grid_half, 0.1)
+
+
+class TestBadTimes:
+    @pytest.mark.parametrize("substochastic", [True, False])
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_kernel_matrix_rejects_time(self, m_half, t, substochastic):
+        grid = Grid.build(m_half, 40, 8.0, 10.0)
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            kernel_matrix(m_half, grid, t, substochastic)
+        assert not grid._matrix_cache
+
+    @pytest.mark.parametrize(
+        "t,steps", [(0.0, 1), (-1.0, 1), (math.nan, 1), (math.inf, 1), (0.1, 0), (0.1, -2)]
+    )
+    def test_heat_apply_rejects_time_and_steps(self, m_half, t, steps):
+        grid = Grid.build(m_half, 40, 8.0, 10.0)
+        with pytest.raises(ValueError, match="time must be positive|steps must be at least 1"):
+            heat_apply(m_half, t, GridFunction.ones(grid), steps)
+        assert not grid._matrix_cache
 
 
 class TestSubMarkov:

@@ -1,0 +1,117 @@
+"""Layer timings and output hashes of the heat-kernel assembly, as one JSON object.
+
+Usage, from the root of a checkout (it imports ``besselhardy`` from that
+checkout's ``src/``):
+
+    OPENBLAS_NUM_THREADS=1 python3 tools/kernel_layers.py [--repeats 5]
+
+It prints:
+
+- ``build_ms``: the raw ``kernel_matrix(..., substochastic=False)`` build in
+  ms, best of ``--repeats``, on the test-14 grid (alpha 0.5, x_max 44,
+  ratio 300, breakpoints k/8) at n = 320, 900, 1400 and dt = 1e-4, 1e-3,
+  1/32, 1; every build runs on a fresh grid, so no cache hit is timed;
+- ``sha256``: the digest of every raw and scaled matrix at those points;
+- ``bessel_evals_per_s``: ``bessel_i_scaled_ratio`` of the heat-kernel order
+  -0.25 on a fixed seeded array of 1e6 log-uniform z in [1e-3, 1e5], in one
+  call, best of ``--repeats``;
+- ``bessel_evals_per_s_kernel_args``: the same on the arguments one raw build
+  evaluates (z = x_i x_j / 2t over the pairs i <= j with a nonzero Gaussian
+  factor, n = 900, dt = 1e-3), in calls of 2^16 as ``kernel_matrix`` makes
+  them, best of ``--repeats``;
+- ``src_lines``: the line count of ``src/besselhardy/*.py``.
+
+Running it at two commits and comparing the ``sha256`` entries checks that the
+matrices are bit-identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import math
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from besselhardy import WeightedMeasure, bessel_i_scaled_ratio, kernel_matrix  # noqa: E402
+from besselhardy.grid import Grid  # noqa: E402
+
+SIZES = (320, 900, 1400)
+STEPS = {"1e-4": 1e-4, "1e-3": 1e-3, "1/32": 1.0 / 32.0, "1": 1.0}
+BESSEL_EVALS = 1_000_000
+
+
+def test14_grid(n: int) -> Grid:
+    return Grid.build(WeightedMeasure(0.5), n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+
+
+def best_of(repeats: int, run) -> float:
+    best = math.inf
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=5)
+    repeats = parser.parse_args().repeats
+    m = WeightedMeasure(0.5)
+
+    build_ms: dict = {}
+    digests: dict = {}
+    for n in SIZES:
+        for label, dt in STEPS.items():
+            grids = [test14_grid(n) for _ in range(repeats)]
+            build_ms.setdefault(str(n), {})[label] = round(
+                1e3 * best_of(repeats, lambda: kernel_matrix(m, grids.pop(), dt, substochastic=False)), 2
+            )
+            grid = test14_grid(n)
+            for scaled in (False, True):
+                mat = kernel_matrix(m, grid, dt, substochastic=scaled)
+                name = f"n={n} dt={label} {'scaled' if scaled else 'raw'}"
+                digests[name] = hashlib.sha256(mat.tobytes()).hexdigest()
+
+    z = np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(1e5), BESSEL_EVALS))
+    bessel_s = best_of(repeats, lambda: bessel_i_scaled_ratio(m.kernel_order, z))
+    x = test14_grid(900).nodes
+    i, j = np.triu_indices(x.size)
+    dt = 1e-3
+    live = np.exp(-((x[i] - x[j]) ** 2) * (0.25 / dt)) != 0.0
+    args = x[i][live] * x[j][live] / (2.0 * dt)
+    blocks = [args[k : k + (1 << 16)] for k in range(0, args.size, 1 << 16)]
+    kernel_args_s = best_of(repeats, lambda: [bessel_i_scaled_ratio(m.kernel_order, b) for b in blocks])
+
+    src_lines = sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "besselhardy").glob("*.py")))
+    print(
+        json.dumps(
+            {
+                "host": {
+                    "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "machine": platform.machine(),
+                },
+                "repeats": repeats,
+                "build_ms": build_ms,
+                "bessel_evals_per_s": round(BESSEL_EVALS / bessel_s),
+                "bessel_evals_per_s_kernel_args": round(args.size / kernel_args_s),
+                "src_lines": src_lines,
+                "sha256": digests,
+            },
+            indent=1,
+        )
+    )
+
+
+if __name__ == "__main__":
+    main()
