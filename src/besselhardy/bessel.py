@@ -1,9 +1,11 @@
 """Exponentially scaled modified Bessel function of the first kind.
 
 Two branches cover the half-line: the ascending series below ``SERIES_ASYM_SEAM``
-and the Hankel large-argument expansion above it.  All public entry points
-return ``e^{-z} I_order(z)`` (or the ratio form ``e^{-z} I_order(z) z^{-order}``
-used by the heat kernel), so nothing overflows even for arguments of order 1e6.
+and the Hankel large-argument expansion above it.  Both compute the ratio form
+``e^{-z} I_order(z) z^{-order}`` used by the heat kernel, which is finite and
+positive down to z = 0, so nothing overflows even for arguments of order 1e6.
+``bessel_i_scaled`` returns ``e^{-z} I_order(z)`` as that ratio times z^order,
+with no logarithm of z, so a subnormal z keeps its leading term.
 
 Both branches exist as plain-Python scalar kernels (which the ``quad``
 integrands call) and as vectorized numpy kernels (which the array wrappers
@@ -63,24 +65,8 @@ def _asym_factor(order: float, z: float) -> float:
     return total
 
 
-def _ive_series_scalar(order: float, z: float) -> float:
-    if z == 0.0:
-        if order > 0.0:
-            return 0.0
-        if order == 0.0:
-            return 1.0
-        return math.inf
-    return math.exp(-z + order * math.log(0.5 * z)) * _series_sum(order, z)
-
-
 def _ive_asym_scalar(order: float, z: float) -> float:
     return _asym_factor(order, z) / math.sqrt(2.0 * math.pi * z)
-
-
-def _ive_scalar(order: float, z: float) -> float:
-    if z < SERIES_ASYM_SEAM:
-        return _ive_series_scalar(order, z)
-    return _ive_asym_scalar(order, z)
 
 
 def _ive_ratio_scalar(order: float, z: float) -> float:
@@ -148,25 +134,6 @@ def _asym_factor_numpy(order: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ive_array_numpy(order: float, z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    small = z < SERIES_ASYM_SEAM
-    if small.any():
-        zs = z[small]
-        vals = np.empty_like(zs)
-        pos = zs > 0.0
-        if pos.any():
-            zp = zs[pos]
-            vals[pos] = np.exp(-zp + order * np.log(0.5 * zp)) * _series_sum_numpy(order, zp)
-        if (~pos).any():
-            vals[~pos] = math.inf if order < 0.0 else (1.0 if order == 0.0 else 0.0)
-        out[small] = vals
-    if (~small).any():
-        zb = z[~small]
-        out[~small] = _asym_factor_numpy(order, zb) / np.sqrt(2.0 * math.pi * zb)
-    return out
-
-
 def _ive_ratio_array_numpy(order: float, z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     small = z < SERIES_ASYM_SEAM
@@ -184,17 +151,6 @@ def _check_order(order: float) -> None:
         raise ValueError(f"Bessel order must exceed -1, got {order}")
 
 
-def bessel_i_scaled(order: float, z):
-    """Evaluate ``e^{-z} I_order(z)`` for scalar or array ``z >= 0``."""
-    _check_order(order)
-    arr = np.asarray(z, dtype=np.float64)
-    if np.any(arr < 0.0):
-        raise ValueError("argument must be nonnegative")
-    if arr.ndim == 0:
-        return _ive_scalar(float(order), float(arr))
-    return _ive_array_numpy(float(order), arr.ravel()).reshape(arr.shape)
-
-
 def bessel_i_scaled_ratio(order: float, z):
     """Evaluate ``e^{-z} I_order(z) z^{-order}``; regular at z = 0."""
     _check_order(order)
@@ -206,10 +162,26 @@ def bessel_i_scaled_ratio(order: float, z):
     return _ive_ratio_array_numpy(float(order), arr.ravel()).reshape(arr.shape)
 
 
+def _times_power(ratio, order: float, z):
+    """ratio * z^order, where 0^order is 0, 1 or inf as I_order(0) is."""
+    with np.errstate(divide="ignore"):
+        return ratio * np.asarray(z, dtype=np.float64) ** float(order)
+
+
+def bessel_i_scaled(order: float, z):
+    """Evaluate ``e^{-z} I_order(z)`` for scalar or array ``z >= 0``.
+
+    It is ``bessel_i_scaled_ratio(order, z) * z^order``, so a subnormal z
+    keeps its leading term and z = 0 gives I_order(0): 0, 1 or inf.
+    """
+    return _times_power(bessel_i_scaled_ratio(order, z), order, z)
+
+
 def series_branch(order: float, z: float) -> float:
     """Series branch alone (valid for moderate z); exposed for seam tests."""
     _check_order(order)
-    return _ive_series_scalar(float(order), float(z))
+    z = float(z)
+    return _times_power(math.exp(-z - order * _LN2) * _series_sum(float(order), z), order, z)
 
 
 def asymptotic_branch(order: float, z: float) -> float:

@@ -44,8 +44,8 @@ class KernelEval:
     t: float
 
     def __post_init__(self):
-        if self.t <= 0.0:
-            raise ValueError("time must be positive")
+        if not (self.t > 0.0 and math.isfinite(self.t)):
+            raise ValueError(f"time must be positive and finite, got {self.t!r}")
         if self.alpha <= 0.0:
             raise ValueError("alpha must be positive")
 

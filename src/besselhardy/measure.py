@@ -172,10 +172,10 @@ class Potential:
         for a, b, v in self.pieces:
             if not (0.0 <= a < b):
                 raise ValueError(f"bad piece endpoints ({a}, {b})")
-            if v < 0.0:
-                raise ValueError("piece values must be nonnegative")
-        if self.power_coeff < 0.0:
-            raise ValueError("power coefficient must be nonnegative")
+            if not (0.0 <= v < math.inf):
+                raise ValueError(f"piece values must be nonnegative and finite, got {v}")
+        if not (0.0 <= self.power_coeff < math.inf):
+            raise ValueError(f"power coefficient must be nonnegative and finite, got {self.power_coeff}")
 
     @classmethod
     def constant(cls, value: float, support: tuple[float, float] = (0.0, 1024.0)) -> "Potential":

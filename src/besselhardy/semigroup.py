@@ -83,8 +83,8 @@ def schrodinger_apply(
     n_steps: int | None = None,
 ) -> GridFunction:
     """Evolve f by the split Schroedinger semigroup for time t."""
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"time must be positive and finite, got {t!r}")
     potential.validate_for(m.alpha)
     steps = n_steps if n_steps is not None else scheme.steps_for(t)
     v_nodes = np.asarray(potential(f.grid.nodes), dtype=np.float64)
@@ -130,8 +130,8 @@ def heat_evolve(
     This is the right-hand side of the structural domination inequality: it
     uses the identical kinetic matrices, so the comparison is exact.
     """
-    if t <= 0.0:
-        raise ValueError("time must be positive")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValueError(f"time must be positive and finite, got {t!r}")
     steps = n_steps if n_steps is not None else scheme.steps_for(t)
     zero = np.zeros(len(f.grid))
     return GridFunction(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -84,6 +85,18 @@ class TestEdgeCases:
     def test_negative_argument_rejected(self):
         with pytest.raises(ValueError):
             bessel_i_scaled(0.5, -1.0)
+
+    @pytest.mark.parametrize("order", [-0.25, 0.0, 0.5])
+    def test_subnormal_argument_gives_leading_term(self, order):
+        zs = np.array([5e-324, 1e-310])
+        # z/2 underflows at the smallest subnormal, so split off 2^-order
+        want = zs**order * 2.0**-order / math.gamma(order + 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            array = bessel_i_scaled(order, zs)
+            scalars = [bessel_i_scaled(order, float(z)) for z in zs]
+        assert np.all(np.abs(array - want) <= 1e-12 * want)
+        assert np.all(np.abs(np.array(scalars) - want) <= 1e-12 * want)
 
     def test_array_shape_preserved(self):
         z = np.linspace(0.1, 50.0, 12).reshape(3, 4)

@@ -39,6 +39,25 @@ class TestParsing:
         assert rc == 2
         assert "--alpha" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args,flag",
+        [
+            (["--window", "a:b"], "--window"),
+            (["--grid", "320:x:60"], "--grid"),
+            (["--grid", "320:30:inf"], "--grid"),
+            (["--grid", "320.5:30:60"], "--grid"),
+            (["--tol", "mass=abc"], "--tol"),
+            (["--tol", "mas=1e-6"], "--tol"),
+            (["--potential", "piece 0 1 nan"], "--potential"),
+            (["--potential-file", "{missing}"], "--potential-file"),
+        ],
+    )
+    def test_input_error_exits_2_naming_flag(self, tmp_path, capsys, args, flag):
+        args = [a.format(missing=tmp_path / "missing.txt") for a in args]
+        assert main(["kernel", *args, "--out", str(tmp_path / "out")]) == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_potential_file_loading(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("# potential\npiece 0 4 2\n")

@@ -260,6 +260,11 @@ class TestBadTimes:
             heat_apply(m_half, t, GridFunction.ones(grid), steps)
         assert not grid._matrix_cache
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_kernel_eval_rejects_time(self, t):
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            KernelEval(0.5, t)
+
 
 class TestSubMarkov:
     """The scaled kernel matrix keeps the structure of the continuous kernel."""

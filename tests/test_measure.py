@@ -222,6 +222,15 @@ class TestPotential:
         with pytest.raises(ValueError):
             Potential(pieces=((0.0, 1.0, -1.0),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_nonfinite_piece_and_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            Potential(pieces=((0.0, 1.0, value),))
+        with pytest.raises(ValueError, match="nonnegative and finite"):
+            Potential.power(value, 0.5)
+        with pytest.raises(ConfigError, match="nonnegative and finite"):
+            parse_potential(f"piece 0 1 {value}")
+
     def test_evaluation_sums_pieces_and_tail(self):
         v = Potential(pieces=((0.0, 1.0, 2.0), (0.5, 2.0, 3.0)), power_coeff=1.0, power_exponent=0.5)
         assert v(0.75) == pytest.approx(5.0 + 0.75**-0.5)

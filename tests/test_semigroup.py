@@ -121,6 +121,18 @@ class TestSplitting:
         with pytest.raises(ValueError, match="0.1 after 0.2"):
             list(sweep)
 
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("evolve", ["schrodinger_apply", "heat_evolve"])
+    def test_bad_time_rejected(self, m_half, t, evolve):
+        grid = Grid.build(m_half, 40, 8.0, 10.0)
+        f = GridFunction.ones(grid)
+        with pytest.raises(ValueError, match="time must be positive and finite"):
+            if evolve == "schrodinger_apply":
+                schrodinger_apply(m_half, Potential.constant(1.0), t, f, SCHEME)
+            else:
+                heat_evolve(m_half, t, f, SCHEME)
+        assert not grid._matrix_cache
+
 
 class TestEvolutionProperties:
     """Split and heat evolution with the same steps keep the continuous structure."""
