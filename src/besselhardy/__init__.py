@@ -15,6 +15,7 @@ from .errors import (
     ConfigError,
     CutoffViolation,
     DegeneratePotential,
+    InvalidInput,
     MixedGrids,
     NonLocallyIntegrable,
     QuadratureBudgetExceeded,

@@ -156,7 +156,7 @@ def _timed(*checks) -> list[CheckResult]:
     for name, check in checks:
         t0 = time.perf_counter()
         passed, details = check()
-        results.append(CheckResult(name, passed, details, time.perf_counter() - t0))
+        results.append(CheckResult(name, bool(passed), details, time.perf_counter() - t0))
     return results
 
 

@@ -37,5 +37,9 @@ class ScalingNotConverged(BesselHardyError):
     """Symmetric scaling failed to bring every kernel-matrix mass under the cap."""
 
 
+class InvalidInput(BesselHardyError, ValueError):
+    """An argument is outside the domain an entry point accepts."""
+
+
 class ConfigError(BesselHardyError):
     """Invalid run configuration."""

@@ -13,13 +13,21 @@ small-argument diagonal limit (2t)^(-1) (4t)^(-nu) / Gamma(1+nu).
 
 The Bessel factor, where nearly all the cost lies, is evaluated only for
 pairs whose Gaussian factor is not 0.0; every other pair gets +0.0, which
-is what the full product gives there, so skipping it moves no bit.  On a
-grid at small t most pairs are such dead pairs.  ``kernel_matrix`` does not
-even form them: it walks a band of candidate pairs around the diagonal,
-past whose edge the Gaussian factor has underflowed, in row blocks of
-bounded size.  The Bessel kernels in turn stop each argument at its own
-last term (see ``bessel``).  Work thus stops where no bit of a matrix can
-change, and every matrix is the full-square formula bit for bit.
+is what the full product gives there.  ``heat_kernel`` is this formula at
+every point it is given.
+
+``kernel_matrix`` stops earlier, where an a-priori bound shows that the
+rest of a row cannot matter.  For alpha > 0 (nu > -1/2) the ratio g(nu, z)
+decreases in z, so g <= g(nu, 0+) = r0 = 1 / (2^nu Gamma(nu + 1)) and every
+entry is at most (2t)^(-1-nu) r0 exp(-(x-y)^2 / 4t).  The matrix keeps the
+pairs with (x-y)^2 / 4t <= E, E = ln(2^60 n (2t)^(-1-nu) r0 max_j w_j),
+and holds +0.0 beyond: the pairs it drops carry at most 2^-60 of any row's
+or column's mu-mass.  Every kept entry is the formula bit for bit.  Between
+the cut and the underflow of the Gaussian factor lie about half of the
+pairs a band would otherwise evaluate, and every subnormal entry, which
+makes dense matvecs up to twice as slow; the matrix holds neither.  The
+band is walked around the diagonal in row blocks of bounded size, and the
+Bessel kernels stop each argument at its own last term (see ``bessel``).
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bessel import _ive_ratio_scalar, bessel_i_scaled_ratio
-from .errors import MixedGrids, ScalingNotConverged
+from .errors import InvalidInput, MixedGrids, ScalingNotConverged
 from .grid import Grid, GridFunction
 from .measure import WeightedMeasure
 
@@ -45,9 +53,9 @@ class KernelEval:
 
     def __post_init__(self):
         if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise ValueError(f"time must be positive and finite, got {self.t!r}")
+            raise InvalidInput(f"time must be positive and finite, got {self.t!r}")
         if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+            raise InvalidInput("alpha must be positive")
 
     @property
     def order(self) -> float:
@@ -124,6 +132,19 @@ def _scale_substochastic(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
 _BLOCK_PAIRS = 1 << 16
 
 
+def _band_exponent(nu: float, t: float, n: int, max_weight: float) -> float:
+    """E with n (2t)^(-1-nu) r0 max_weight e^-E = 2^-60, clipped to [0, 800].
+
+    r0 = 1 / (2^nu Gamma(nu + 1)) bounds e^-z I_nu(z) z^-nu for nu > -1/2.
+    Past 800 the Gaussian factor is 0.0 already (exp underflows below about
+    -745.2), so a larger E would keep no other entry.  Logs keep it finite
+    for any positive t.
+    """
+    log_r0 = -nu * math.log(2.0) - math.lgamma(nu + 1.0)
+    log_scale = math.log(n) + (-1.0 - nu) * math.log(2.0 * t) + log_r0 + math.log(max_weight)
+    return min(max(60.0 * math.log(2.0) + log_scale, 0.0), 800.0)
+
+
 def _zeros_line_aligned(n: int) -> np.ndarray:
     """An n x n zero matrix whose data starts on a 64-byte cache line.
 
@@ -136,18 +157,20 @@ def _zeros_line_aligned(n: int) -> np.ndarray:
 
 
 def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float, substochastic: bool = True) -> np.ndarray:
-    """P_t sampled on the grid nodes, cached per (alpha, t).
+    """P_t on the grid nodes, cut at a 2^-60 mass bound; cached per (alpha, t).
 
-    Work stops where no bit of the result can change.  The formula is
-    evaluated on the upper triangle i <= j only and mirrored: IEEE products
-    and squares commute, so P(x_i, x_j) and P(x_j, x_i) are the same float.
-    Row i's candidates are the band i <= j < hi_i with
-    x_j - x_i <= sqrt(3200 t); the nodes increase strictly, so the band is
-    contiguous and every pair beyond it has Gaussian factor 0.0, hence entry
-    +0.0, as in the full square.  Rows are assembled in blocks of at most
-    ``_BLOCK_PAIRS`` candidates (a row is never split), so no array of order
-    n^2 besides the matrix itself is built.  Within a block ``_kernel``
-    evaluates the Bessel factor only where the Gaussian factor is nonzero.
+    Every entry kept is the formula bit for bit, and every entry dropped is
+    +0.0.  Row i keeps the band i <= j < hi_i with x_j - x_i <= sqrt(4 E t),
+    where ``_band_exponent`` gives E; by the bound in the module docstring
+    the dropped entries of any row or column carry at most 2^-60 of its
+    mu-mass (up to the rounding of the band edge).  The cut keeps the matrix
+    symmetric and positive, leaves no subnormal entry, and keeps the
+    diagonal even at E = 0.  The formula
+    is evaluated on the upper triangle only and mirrored: IEEE products and
+    squares commute, so P(x_i, x_j) and P(x_j, x_i) are the same float.
+    Rows are assembled in blocks of at most ``_BLOCK_PAIRS`` candidates (a
+    row is never split), so no array of order n^2 besides the matrix itself
+    is built.
 
     When ``substochastic`` is set (the default used by the semigroup), the
     symmetric matrix is scaled to D P D with 0 < d_i <= 1 so that every row
@@ -163,16 +186,15 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float, substochastic: bool 
         raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
     t = float(t)
     if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be positive and finite, got {t!r}")
+        raise InvalidInput(f"time must be positive and finite, got {t!r}")
     key = (float(m.alpha), t, bool(substochastic))
     cached = grid.cache_get(key)
     if cached is not None:
         return cached
     nodes = grid.nodes
     n = nodes.size
-    # candidates satisfy (x_j - x_i)^2 / 4t <= 800; exp underflows to 0.0
-    # below about -745.2, so every pair beyond has Gaussian factor 0.0
-    hi = np.searchsorted(nodes, nodes + math.sqrt(3200.0 * t), "right")
+    edge = math.sqrt(4.0 * _band_exponent(m.kernel_order, t, n, grid.weights.max()) * t)
+    hi = np.searchsorted(nodes, nodes + edge, "right")
     ends = np.cumsum(hi - np.arange(n))
     mat = _zeros_line_aligned(n)
     r0 = 0
@@ -201,9 +223,9 @@ def heat_apply(m: WeightedMeasure, t: float, f: GridFunction, steps: int = 1) ->
     its kinetic factor; comparisons against that evolution should match steps.
     """
     if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t!r}")
+        raise InvalidInput(f"time must be positive, got {t!r}")
     if steps < 1:
-        raise ValueError(f"steps must be at least 1, got {steps!r}")
+        raise InvalidInput(f"steps must be at least 1, got {steps!r}")
     grid = f.grid
     mat = kernel_matrix(m, grid, t / steps)
     v = f.values
@@ -234,7 +256,7 @@ def heat_kernel_mass_residual(
     (0, R); R truncates where the Gaussian factor is below 1e-16 of the peak.
     """
     if quad_tolerance <= 0.0:
-        raise ValueError("tolerance must be positive")
+        raise InvalidInput("tolerance must be positive")
     nu = m.kernel_order
     pref = (2.0 * t) ** (-1.0 - nu)
 

@@ -24,7 +24,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import QuadratureBudgetExceeded
+from .errors import InvalidInput, QuadratureBudgetExceeded
 from .grid import Grid, GridFunction
 from .kernel import heat_kernel, kernel_matrix
 from .measure import Potential, WeightedMeasure
@@ -84,7 +84,7 @@ def schrodinger_apply(
 ) -> GridFunction:
     """Evolve f by the split Schroedinger semigroup for time t."""
     if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be positive and finite, got {t!r}")
+        raise InvalidInput(f"time must be positive and finite, got {t!r}")
     potential.validate_for(m.alpha)
     steps = n_steps if n_steps is not None else scheme.steps_for(t)
     v_nodes = np.asarray(potential(f.grid.nodes), dtype=np.float64)
@@ -111,7 +111,7 @@ def evolve_through(
     prev = 0.0
     for t in times:
         if not (t > 0.0 and t >= prev):  # also rejects NaN
-            raise ValueError(f"times must be positive and nondecreasing, got {float(t)!r} after {float(prev)!r}")
+            raise InvalidInput(f"times must be positive and nondecreasing, got {float(t)!r} after {float(prev)!r}")
         if t > prev:
             current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
             prev = t
@@ -131,7 +131,7 @@ def heat_evolve(
     uses the identical kinetic matrices, so the comparison is exact.
     """
     if not (t > 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be positive and finite, got {t!r}")
+        raise InvalidInput(f"time must be positive and finite, got {t!r}")
     steps = n_steps if n_steps is not None else scheme.steps_for(t)
     zero = np.zeros(len(f.grid))
     return GridFunction(
@@ -198,9 +198,9 @@ def feynman_kac(
     Identical (seed, n_paths, n_steps) inputs give bit-identical results.
     """
     if n_paths < 1 or n_steps < 1:
-        raise ValueError("need n_paths >= 1 and n_steps >= 1")
+        raise InvalidInput("need n_paths >= 1 and n_steps >= 1")
     if x0 <= 0.0 or t <= 0.0:
-        raise ValueError("need x0 > 0 and t > 0")
+        raise InvalidInput("need x0 > 0 and t > 0")
     potential.validate_for(m.alpha)
     dt = t / n_steps
     path = _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed))

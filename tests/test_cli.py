@@ -131,3 +131,11 @@ class TestSuites:
         assert "kernel.normalization" in names
         assert "semigroup.domination_contraction" in names
         assert "section.error" in names
+
+    def test_summary_passed_is_a_json_boolean(self, tmp_path):
+        # a numpy bool in a check's result once reached summary.json as "True"
+        main(["semigroup", "--grid", "96:12:20", "--out", str(tmp_path)])
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        names = [c["name"] for c in summary["checks"]]
+        assert "semigroup.constant_potential" in names
+        assert all(type(c["passed"]) is bool for c in summary["checks"])

@@ -43,6 +43,24 @@ def grid_of_test14(m, n=900):
     return Grid.build(m, n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
 
 
+# a kernel matrix drops only pairs that carry at most this of a row or column mu-mass
+MASS_CUT = 2.0**-60
+
+
+def assert_cut_of(mat, want, w):
+    """``mat`` is ``want`` bit for bit on the pairs it keeps and +0.0 on the rest,
+    which hold at most MASS_CUT of every row and column mu-mass of ``want``."""
+    dropped = mat != want
+    assert np.all(mat[dropped] == 0.0) and not np.signbit(mat).any()
+    lost = np.where(dropped, want, 0.0)
+    assert (lost @ w).max() <= MASS_CUT
+    assert (w @ lost).max() <= MASS_CUT
+
+
+def assert_no_subnormal(mat):
+    assert not np.any((mat != 0.0) & (np.abs(mat) < TINY))
+
+
 def full_square_kernel(nu, t, x, y):
     """Gaussian factor and P_t(x, y) with the Bessel factor evaluated at every pair."""
     d = x - y
@@ -159,28 +177,30 @@ class TestHeatApply:
 class TestMatrixAssembly:
     @pytest.mark.parametrize("t", [1e-3, 0.3])
     def test_matrix_is_the_pointwise_kernel(self, t):
-        # one kernel formula: the unscaled matrix is heat_kernel on the node pairs
+        # one kernel formula: the unscaled matrix is heat_kernel on the node
+        # pairs it keeps, and the pairs it drops carry no mass that counts
         m = WeightedMeasure(0.5)
         grid = Grid.build(m, 320, 30.0, 60.0)  # the CLI's default grid
         x = grid.nodes
         raw = kernel_matrix(m, grid, t, substochastic=False)
-        assert np.array_equal(raw, heat_kernel(m, t, x[:, None], x[None, :]))
+        assert_cut_of(raw, heat_kernel(m, t, x[:, None], x[None, :]), grid.weights)
+        assert_no_subnormal(raw)
 
     @pytest.mark.parametrize("t", [1e-5, 1e-3, 1.0 / 32.0, 3.0])
     def test_band_matches_the_full_square(self, t):
-        # the Bessel factor is skipped where the Gaussian factor underflows
-        # and only the upper triangle is evaluated; neither may move a bit
+        # the band ends at the mass cut and only the upper triangle is
+        # evaluated; no kept entry may move a bit
         m = WeightedMeasure(0.5)
         grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
         x = grid.nodes
         gauss, want = full_square_kernel(m.kernel_order, t, x[:, None], x[None, :])
         mat = kernel_matrix(m, grid, t, substochastic=False)
-        assert np.array_equal(mat, want)
+        assert_cut_of(mat, want, grid.weights)
         assert np.array_equal(mat, mat.T)
-        # where the Gaussian factor underflows the entry is +0.0; a few more
-        # entries are 0.0 because the whole product underflows, as in the oracle
-        dead = mat[gauss == 0.0]
-        assert np.all(dead == 0.0) and not np.signbit(dead).any()
+        # the cut ends the band before the Gaussian factor underflows
+        assert np.any((mat != want) & (gauss != 0.0))
+        assert_no_subnormal(mat)
+        assert_no_subnormal(kernel_matrix(m, grid, t))
 
     @given(
         alpha=st.floats(min_value=0.2, max_value=3.0),
@@ -203,7 +223,9 @@ class TestMatrixAssembly:
         got = heat_kernel(m, t, x, y)
         assert np.array_equal(got, want) and not np.signbit(got[-1])
         mat = kernel_matrix(m, grid, t, substochastic=False)
-        assert np.array_equal(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1])
+        assert_cut_of(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1], grid.weights)
+        assert_no_subnormal(mat)
+        assert_no_subnormal(kernel_matrix(m, grid, t))
 
     @pytest.mark.parametrize("t", [1e-5, 1.0 / 32.0, 3.0])
     def test_block_size_moves_no_bit(self, monkeypatch, t):

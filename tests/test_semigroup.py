@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from besselhardy import (
+    BesselHardyError,
     GridFunction,
     Interval,
+    InvalidInput,
+    KernelEval,
     Potential,
     QuadratureBudgetExceeded,
     SplittingScheme,
@@ -16,8 +19,11 @@ from besselhardy import (
     besq_terminal_samples,
     evolve_through,
     feynman_kac,
+    heat_apply,
     heat_evolve,
     heat_kernel,
+    heat_kernel_mass_residual,
+    kernel_matrix,
     perturbation_residual,
     schrodinger_apply,
     schrodinger_kernel_column,
@@ -274,3 +280,27 @@ class TestPerturbationFormula:
             fine = perturbation_residual(m_half, v, t, x, y, grid_half, s_steps=20)
             quad_tol = abs(fine.rhs - coarse.rhs) + 2e-3 * coarse.scale
             assert fine.residual < 5.0 * quad_tol
+
+
+# every argument check of the kernel and semigroup entry points, one call each
+BAD_CALLS = {
+    "KernelEval time": lambda m, g, f: KernelEval(0.5, 0.0),
+    "KernelEval alpha": lambda m, g, f: KernelEval(0.0, 1.0),
+    "kernel_matrix time": lambda m, g, f: kernel_matrix(m, g, -1.0),
+    "heat_apply time": lambda m, g, f: heat_apply(m, 0.0, f),
+    "heat_apply steps": lambda m, g, f: heat_apply(m, 0.1, f, 0),
+    "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),
+    "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
+    "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
+    "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),
+    "feynman_kac paths": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 1.0, np.ones_like, 0, 4, 0),
+    "feynman_kac start": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 0.0, np.ones_like, 4, 4, 0),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CALLS))
+def test_bad_argument_is_a_library_error(m_half, name):
+    grid = Grid.build(m_half, 40, 8.0, 10.0)
+    with pytest.raises(InvalidInput) as info:
+        BAD_CALLS[name](m_half, grid, GridFunction.ones(grid))
+    assert isinstance(info.value, BesselHardyError) and isinstance(info.value, ValueError)

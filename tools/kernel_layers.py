@@ -12,13 +12,19 @@ It prints:
   ratio 300, breakpoints k/8) at n = 320, 900, 1400 and dt = 1e-4, 1e-3,
   1/32, 1; every build runs on a fresh grid, so no cache hit is timed;
 - ``sha256``: the digest of every raw and scaled matrix at those points;
+- ``kept_pairs``: the pairs i <= j with a nonzero raw entry at those points;
+- ``subnormal_entries``: the subnormal entries of every raw and scaled matrix
+  at those points;
+- ``matvec_us``: one dense matvec ``mat @ (w * v)`` with the scaled matrix,
+  as the evolution makes it, in us, best of ``--repeats`` loops of
+  ``MATVECS``, at n = 900, 1400 and dt = 1e-3, 1/32;
 - ``bessel_evals_per_s``: ``bessel_i_scaled_ratio`` of the heat-kernel order
   -0.25 on a fixed seeded array of 1e6 log-uniform z in [1e-3, 1e5], in one
   call, best of ``--repeats``;
 - ``bessel_evals_per_s_kernel_args``: the same on the arguments one raw build
-  evaluates (z = x_i x_j / 2t over the pairs i <= j with a nonzero Gaussian
-  factor, n = 900, dt = 1e-3), in calls of 2^16 as ``kernel_matrix`` makes
-  them, best of ``--repeats``;
+  evaluates at n = 900, dt = 1e-3, recorded from that build, in the calls
+  ``kernel_matrix`` makes, best of ``--repeats``; ``bessel_evals_kernel_args``
+  is their count;
 - ``src_lines``: the line count of ``src/besselhardy/*.py``.
 
 Running it at two commits and comparing the ``sha256`` entries checks that the
@@ -42,11 +48,15 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
 from besselhardy import WeightedMeasure, bessel_i_scaled_ratio, kernel_matrix  # noqa: E402
+from besselhardy import kernel as kernel_module  # noqa: E402
 from besselhardy.grid import Grid  # noqa: E402
 
 SIZES = (320, 900, 1400)
 STEPS = {"1e-4": 1e-4, "1e-3": 1e-3, "1/32": 1.0 / 32.0, "1": 1.0}
 BESSEL_EVALS = 1_000_000
+MATVEC_SIZES = (900, 1400)
+MATVEC_STEPS = ("1e-3", "1/32")
+MATVECS = 200
 
 
 def test14_grid(n: int) -> Grid:
@@ -70,6 +80,9 @@ def main() -> None:
 
     build_ms: dict = {}
     digests: dict = {}
+    kept: dict = {}
+    subnormal: dict = {}
+    matvec_us: dict = {}
     for n in SIZES:
         for label, dt in STEPS.items():
             grids = [test14_grid(n) for _ in range(repeats)]
@@ -81,15 +94,33 @@ def main() -> None:
                 mat = kernel_matrix(m, grid, dt, substochastic=scaled)
                 name = f"n={n} dt={label} {'scaled' if scaled else 'raw'}"
                 digests[name] = hashlib.sha256(mat.tobytes()).hexdigest()
+                subnormal[name] = int(np.count_nonzero((mat != 0.0) & (np.abs(mat) < np.finfo(mat.dtype).tiny)))
+                if not scaled:
+                    kept[f"n={n} dt={label}"] = int(np.count_nonzero(np.triu(mat)))
+            if n in MATVEC_SIZES and label in MATVEC_STEPS:
+                # mat is the scaled matrix, the last one built
+                w, v = grid.weights, np.random.default_rng(0).uniform(0.0, 1.0, n)
+
+                def matvecs():
+                    for _ in range(MATVECS):
+                        mat @ (w * v)
+
+                matvec_us[f"n={n} dt={label}"] = round(1e6 * best_of(repeats, matvecs) / MATVECS, 1)
 
     z = np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(1e5), BESSEL_EVALS))
     bessel_s = best_of(repeats, lambda: bessel_i_scaled_ratio(m.kernel_order, z))
-    x = test14_grid(900).nodes
-    i, j = np.triu_indices(x.size)
-    dt = 1e-3
-    live = np.exp(-((x[i] - x[j]) ** 2) * (0.25 / dt)) != 0.0
-    args = x[i][live] * x[j][live] / (2.0 * dt)
-    blocks = [args[k : k + (1 << 16)] for k in range(0, args.size, 1 << 16)]
+    blocks = []
+
+    def recorded(order, z):
+        blocks.append(np.array(z))
+        return bessel_i_scaled_ratio(order, z)
+
+    kernel_module.bessel_i_scaled_ratio = recorded
+    try:
+        kernel_matrix(m, test14_grid(900), 1e-3, substochastic=False)
+    finally:
+        kernel_module.bessel_i_scaled_ratio = bessel_i_scaled_ratio
+    kernel_args = sum(b.size for b in blocks)
     kernel_args_s = best_of(repeats, lambda: [bessel_i_scaled_ratio(m.kernel_order, b) for b in blocks])
 
     src_lines = sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "besselhardy").glob("*.py")))
@@ -103,8 +134,12 @@ def main() -> None:
                 },
                 "repeats": repeats,
                 "build_ms": build_ms,
+                "kept_pairs": kept,
+                "subnormal_entries": subnormal,
+                "matvec_us": matvec_us,
                 "bessel_evals_per_s": round(BESSEL_EVALS / bessel_s),
-                "bessel_evals_per_s_kernel_args": round(args.size / kernel_args_s),
+                "bessel_evals_per_s_kernel_args": round(kernel_args / kernel_args_s),
+                "bessel_evals_kernel_args": kernel_args,
                 "src_lines": src_lines,
                 "sha256": digests,
             },
