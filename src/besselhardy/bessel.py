@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from .errors import InvalidInput
+
 # Branch crossover.  At z = 30 the truncation error of the Hankel expansion is
 # below e^{-2z} ~ 1e-26 for the orders used here, and the ascending series
 # needs < 100 terms, so both sides agree to ~1e-14 relative at the seam.
@@ -148,7 +150,7 @@ def _ive_ratio_array_numpy(order: float, z: np.ndarray) -> np.ndarray:
 
 def _check_order(order: float) -> None:
     if not order > -1.0:
-        raise ValueError(f"Bessel order must exceed -1, got {order}")
+        raise InvalidInput(f"Bessel order must exceed -1, got {order}")
 
 
 def bessel_i_scaled_ratio(order: float, z):
@@ -156,7 +158,7 @@ def bessel_i_scaled_ratio(order: float, z):
     _check_order(order)
     arr = np.asarray(z, dtype=np.float64)
     if np.any(arr < 0.0):
-        raise ValueError("argument must be nonnegative")
+        raise InvalidInput("argument must be nonnegative")
     if arr.ndim == 0:
         return _ive_ratio_scalar(float(order), float(arr))
     return _ive_ratio_array_numpy(float(order), arr.ravel()).reshape(arr.shape)

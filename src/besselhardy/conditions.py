@@ -20,13 +20,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import quad
 
-from .errors import BalanceUnreachable
+from .errors import BalanceUnreachable, InvalidInput
 from .grid import Grid, GridFunction
 from .hardy import Bump
 from .kernel import heat_kernel
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through, schrodinger_apply
+from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through, schrodinger_apply
 
 
 def balance_functional(m: WeightedMeasure, potential: Potential, interval: Interval) -> float:
@@ -107,7 +107,7 @@ def find_balanced_J(
     when even 2(I^d) has balance <= 1 (a corrupted or non-stopping host).
     """
     if not (0.0 < m.alpha < 1.0):
-        raise ValueError("profiles require alpha in (0, 1)")
+        raise InvalidInput("profiles require alpha in (0, 1)")
     inner = enlarge(host.to_interval(), 2.0)
     outer = enlarge(host.parent().to_interval(), 2.0)
     g_inner = balance_functional(m, potential, inner)
@@ -210,7 +210,7 @@ def phi_equation_residual(
 
 @dataclass
 class SuperharmonicReport:
-    us: np.ndarray
+    us: np.ndarray  # the reached times of the step lattice, not the requested u
     thetas: np.ndarray
     phi_at_z: float
     z: float
@@ -232,6 +232,15 @@ def check_superharmonic(
 ) -> SuperharmonicReport:
     """Evolve the profile and test theta(u) = K_u phi(z): non-increasing, <= phi(z).
 
+    The sweep steps on ``step_lattice``: each leg's step is rounded up to a
+    power of two, at most 1 / ``scheme.steps_per_unit`` (a power of two,
+    1/32 by default), and the leg to whole steps, so the legs of all sweeps
+    on a grid share kernel matrices.
+    Rounding up keeps every step at least the one ``scheme.steps_for`` gives
+    the leg; rounding down would make grid cells wider against sqrt(dt),
+    which breaks discrete monotonicity.  The report's ``us``, thetas and tail
+    bars are at the reached times, each within half a step of its u.
+
     The profile grows like x^{1-alpha}, so the grid truncates it; the report
     carries a Gaussian-tail bound on the truncated contribution per time and
     the monotonicity check allows for it.
@@ -240,11 +249,13 @@ def check_superharmonic(
     z = float(grid.nodes[iz])
     phi_gf = profile.phi_gridfunction(grid)
     phi_z = float(profile.phi(z))
-    us = np.sort(np.asarray(u_grid, dtype=np.float64))
+    requested = np.sort(np.asarray(u_grid, dtype=np.float64))
+    us = np.empty(requested.size)
     thetas = np.empty(us.size)
     bars = np.empty(us.size)
-    sweep = evolve_through(m, potential, phi_gf, us, scheme)
-    for i, (u, current) in enumerate(zip(us, sweep)):
+    sweep = evolve_on_lattice(m, potential, phi_gf, requested, scheme)
+    for i, (u, current) in enumerate(sweep):
+        us[i] = u
         thetas[i] = float(current.values[iz])
         bars[i] = _tail_bound(m, profile, z, u, grid.x_max)
     worst = 0.0

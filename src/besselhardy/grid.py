@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import MixedGrids
+from .errors import InvalidInput, MixedGrids
 from .measure import Interval, WeightedMeasure
 
 
@@ -30,9 +30,9 @@ class Grid:
     def __init__(self, measure: WeightedMeasure, edges: np.ndarray):
         edges = np.asarray(edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 3:
-            raise ValueError("need at least two cells")
+            raise InvalidInput("need at least two cells")
         if edges[0] < 0.0 or np.any(np.diff(edges) <= 0.0):
-            raise ValueError("edges must start at >= 0 and increase strictly")
+            raise InvalidInput("edges must start at >= 0 and increase strictly")
         self.measure = measure
         self.edges = edges
         self.nodes = 0.5 * (edges[:-1] + edges[1:])
@@ -51,7 +51,7 @@ class Grid:
         breakpoints: Iterable[float] = (),
     ) -> "Grid":
         if n < 2 or x_max <= 0.0 or ratio < 1.0:
-            raise ValueError("need n >= 2, x_max > 0, ratio >= 1")
+            raise InvalidInput("need n >= 2, x_max > 0, ratio >= 1")
         i = np.arange(n + 1, dtype=np.float64) / n
         edges = x_max * i
         if ratio > 1.0:
@@ -158,7 +158,7 @@ class GridFunction:
     def __init__(self, grid: Grid, values: np.ndarray):
         values = np.asarray(values, dtype=np.float64)
         if values.shape != grid.nodes.shape:
-            raise ValueError("value array does not match grid")
+            raise InvalidInput("value array does not match grid")
         self.grid = grid
         self.values = values
 

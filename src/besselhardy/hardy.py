@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import CutoffViolation, MixedGrids, SupportViolation
+from .errors import CutoffViolation, InvalidInput, MixedGrids, SupportViolation
 from .grid import CellRange, Grid, GridFunction
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import ProperSection
@@ -96,7 +96,7 @@ def _shaped_values(grid: Grid, cells: CellRange, profile) -> np.ndarray:
     else:
         raw = np.asarray(profile, dtype=np.float64)
     if raw.shape != nodes.shape:
-        raise ValueError("profile length does not match the snapped support")
+        raise InvalidInput("profile length does not match the snapped support")
     return raw
 
 
@@ -108,7 +108,7 @@ def make_mu_atom(grid: Grid, support: Interval, profile="haar") -> Atom:
     raw = raw - (w @ raw) / w.sum()
     top = np.max(np.abs(raw))
     if top == 0.0:
-        raise ValueError("profile is constant after mean correction; no atom")
+        raise InvalidInput("profile is constant after mean correction; no atom")
     vals = np.zeros(len(grid))
     vals[cells.i0 : cells.i1] = raw * (1.0 / (cells.mass * top))
     return Atom(AtomKind.MU, cells, GridFunction(grid, vals))
@@ -138,7 +138,7 @@ class AtomicCombination:
 
     def synthesize(self) -> tuple[GridFunction, float]:
         if not self.terms:
-            raise ValueError("empty combination")
+            raise InvalidInput("empty combination")
         grid = self.terms[0][1].grid
         out = np.zeros(len(grid))
         for lam, atom in self.terms:
@@ -270,7 +270,7 @@ def partition_of_unity(section: ProperSection, ramp_frac: float = 0.9) -> list[P
 
 def log_time_grid(t_min: float, t_max: float, n_times: int) -> np.ndarray:
     if not (0.0 < t_min < t_max) or n_times < 2:
-        raise ValueError("need 0 < t_min < t_max and n_times >= 2")
+        raise InvalidInput("need 0 < t_min < t_max and n_times >= 2")
     return np.exp(np.linspace(math.log(t_min), math.log(t_max), n_times))
 
 
@@ -284,7 +284,7 @@ def maximal_function(
     """Node-wise sup of |K_t f| over the time grid (cumulative evolution)."""
     ts = np.sort(np.asarray(t_grid, dtype=np.float64))
     if ts.size == 0 or ts[0] <= 0.0:
-        raise ValueError("time grid must be positive and nonempty")
+        raise InvalidInput("time grid must be positive and nonempty")
     best = np.zeros(len(f.grid))
     for current in evolve_through(m, potential, f, ts, scheme):
         np.maximum(best, np.abs(current.values), out=best)
@@ -430,7 +430,7 @@ def resupport_atom(
     node-wise up to float rounding.
     """
     if atom.kind not in (AtomKind.MU, AtomKind.CANCELLATIVE):
-        raise ValueError("resupport expects a cancellative input atom")
+        raise InvalidInput("resupport expects a cancellative input atom")
     grid = atom.grid
     _check_cutoff(psi, host, beta, grid)
     star = enlarge(host, beta)

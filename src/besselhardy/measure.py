@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NonLocallyIntegrable
+from .errors import ConfigError, InvalidInput, NonLocallyIntegrable
 
 
 class LengthConvention(enum.Enum):
@@ -45,7 +45,7 @@ class Interval:
 
     def __post_init__(self):
         if not (0.0 <= self.a < self.b < math.inf):
-            raise ValueError(f"need 0 <= a < b < inf, got [{self.a}, {self.b}]")
+            raise InvalidInput(f"need 0 <= a < b < inf, got [{self.a}, {self.b}]")
 
     @property
     def length(self) -> float:
@@ -76,14 +76,14 @@ class Interval:
 def ball(x: float, r: float) -> Interval:
     """B(x, r) intersected with (0, inf); keeps the untruncated radius."""
     if r <= 0.0:
-        raise ValueError("radius must be positive")
+        raise InvalidInput("radius must be positive")
     return Interval(max(0.0, x - r), x + r, ball_center=x, ball_radius=r)
 
 
 def enlarge(interval: Interval, c: float) -> Interval:
     """Dilate the ball form of ``interval`` by ``c >= 1`` and truncate at 0."""
     if c < 1.0:
-        raise ValueError("enlargement factor must be >= 1")
+        raise InvalidInput("enlargement factor must be >= 1")
     if c == 1.0 and interval.ball_center is None:
         return interval
     return ball(interval.center, c * interval.radius)
@@ -102,7 +102,7 @@ class WeightedMeasure:
 
     def __post_init__(self):
         if not (self.alpha > 0.0 and math.isfinite(self.alpha)):
-            raise ValueError(f"alpha must be a positive real, got {self.alpha}")
+            raise InvalidInput(f"alpha must be a positive real, got {self.alpha}")
 
     @property
     def kernel_order(self) -> float:
@@ -112,7 +112,7 @@ class WeightedMeasure:
     def mu_ab(self, a: float, b: float) -> float:
         """mu((a, b)) = (b^{1+alpha} - a^{1+alpha}) / (1+alpha); 0 if a == b."""
         if a < 0.0 or b < a:
-            raise ValueError(f"need 0 <= a <= b, got ({a}, {b})")
+            raise InvalidInput(f"need 0 <= a <= b, got ({a}, {b})")
         if a == b:
             return 0.0
         p = 1.0 + self.alpha
@@ -134,7 +134,7 @@ class WeightedMeasure:
     def gamma_ratio(self, x: float, y: float) -> float:
         """(y-x)^2 / (y^{1+alpha} - x^{1+alpha}) for 0 <= x < y."""
         if not (0.0 <= x < y):
-            raise ValueError(f"need 0 <= x < y, got ({x}, {y})")
+            raise InvalidInput(f"need 0 <= x < y, got ({x}, {y})")
         p = 1.0 + self.alpha
         return (y - x) ** 2 / (y**p - x**p)
 
@@ -171,11 +171,11 @@ class Potential:
     def __post_init__(self):
         for a, b, v in self.pieces:
             if not (0.0 <= a < b):
-                raise ValueError(f"bad piece endpoints ({a}, {b})")
+                raise InvalidInput(f"bad piece endpoints ({a}, {b})")
             if not (0.0 <= v < math.inf):
-                raise ValueError(f"piece values must be nonnegative and finite, got {v}")
+                raise InvalidInput(f"piece values must be nonnegative and finite, got {v}")
         if not (0.0 <= self.power_coeff < math.inf):
-            raise ValueError(f"power coefficient must be nonnegative and finite, got {self.power_coeff}")
+            raise InvalidInput(f"power coefficient must be nonnegative and finite, got {self.power_coeff}")
 
     @classmethod
     def constant(cls, value: float, support: tuple[float, float] = (0.0, 1024.0)) -> "Potential":
@@ -242,10 +242,10 @@ def parse_potential(text: str, source: str = "<inline>") -> Potential:
                 pieces.append((a, b, v))
             elif fields[0] == "power" and len(fields) == 3:
                 if coeff != 0.0:
-                    raise ValueError("duplicate power directive")
+                    raise InvalidInput("duplicate power directive")
                 coeff, expo = float(fields[1]), float(fields[2])
             else:
-                raise ValueError(f"unknown directive {fields[0]!r}")
+                raise InvalidInput(f"unknown directive {fields[0]!r}")
         except ValueError as exc:
             raise ConfigError(f"{source}:{ln}: {exc}") from exc
     try:

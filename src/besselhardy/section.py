@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegeneratePotential
+from .errors import DegeneratePotential, InvalidInput
 from .measure import Interval, LengthConvention, Potential, WeightedMeasure, enlarge
 
 
@@ -25,7 +25,7 @@ class DyadicInterval:
 
     def __post_init__(self):
         if self.k < 0:
-            raise ValueError("k must be >= 0 (0 encodes the left interval)")
+            raise InvalidInput("k must be >= 0 (0 encodes the left interval)")
 
     @property
     def is_left(self) -> bool:
@@ -118,7 +118,7 @@ def section_from_text(text: str) -> list[DyadicInterval]:
         elif fields[0] == "std" and len(fields) == 3:
             out.append(DyadicInterval(int(fields[2]), int(fields[1])))
         else:
-            raise ValueError(f"bad section line: {raw!r}")
+            raise InvalidInput(f"bad section line: {raw!r}")
     return out
 
 
@@ -138,7 +138,7 @@ def build_section(
     (e.g. V identically zero).
     """
     if not (0.0 < m.alpha < 1.0):
-        raise ValueError("sections are constructed for alpha in (0, 1)")
+        raise InvalidInput("sections are constructed for alpha in (0, 1)")
     potential.validate_for(m.alpha)
 
     n0 = max(0, math.ceil(math.log2(window.b)))

@@ -121,7 +121,7 @@ class TestSuites:
         assert rc == 1
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert [c["name"] for c in summary["checks"]] == ["section.error"]
-        assert summary["checks"][0]["details"]["error"] == "ValueError"
+        assert summary["checks"][0]["details"]["error"] == "InvalidInput"
 
     def test_all_runs_every_suite_past_an_input_error(self, tmp_path):
         rc = main(["all", "--alpha", "1.5", "--grid", "96:12:20", "--out", str(tmp_path)])

@@ -22,6 +22,7 @@ from besselhardy import (
 )
 from besselhardy.conditions import LeftPlateauBump, SmoothBump, balance_functional
 from besselhardy.grid import Grid
+from besselhardy.semigroup import step_lattice
 
 M = WeightedMeasure(0.5)
 V1 = Potential.constant(1.0)
@@ -147,6 +148,25 @@ class TestSuperharmonic:
         assert rep.worst_step <= 1e-6
         assert rep.thetas[-1] < 1e-6 * rep.phi_at_z
 
+    def test_sweep_steps_on_the_lattice(self, profile_v1):
+        def test14_grid():
+            return Grid.build(M, 1400, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+
+        grid = test14_grid()
+        us = profile_v1.host.length**2 * np.exp(np.linspace(math.log(1e-3), math.log(100.0), 21))
+        rep = check_superharmonic(M, V1, profile_v1, 0.75, us, grid)
+        assert len(grid._matrix_cache) <= 10  # one matrix per leg was 21
+        reached, steps, dts = step_lattice(us)
+        assert np.array_equal(rep.us, reached)
+        # the same legs from scratch, on a fresh grid, give the same thetas bit for bit
+        fresh = test14_grid()
+        iz = fresh.index_of(0.75)
+        f = profile_v1.phi_gridfunction(fresh)
+        for k, dt, theta in zip(steps, dts, rep.thetas):
+            if k:
+                f = schrodinger_apply(M, V1, k * dt, f, n_steps=int(k))
+            assert f.values[iz] == theta
+
     def test_short_time_continuity(self, profile_v1, cond_grid):
         u = 1e-4 * profile_v1.host.length ** 2
         phi_gf = profile_v1.phi_gridfunction(cond_grid)
@@ -189,6 +209,19 @@ class TestConditionD:
         for e in rep.entries:
             assert e.fitted_exponent <= e.threshold
             assert e.fitted_exponent > -3.0  # genuinely polynomial, not e^{-t}
+
+    def test_fixed_legs_keep_their_values(self, grid_half):
+        # (D) legs stay off the power-of-two step lattice: these are the
+        # masses from before the lattice existed, bit for bit
+        sec = build_section(M, VPOW, Interval(0.0, 8.0))
+        rep = check_condition_D(M, VPOW, sec, grid_half, intervals=[sec.intervals[1]], n_max=4, steps_per_leg=7)
+        assert [v.hex() for v in rep.entries[0].values] == [
+            "0x1.ca02d9a54b274p-1",
+            "0x1.9dedffceaac44p-1",
+            "0x1.62cbedeef8e08p-1",
+            "0x1.1cd11a5c1afd4p-1",
+            "0x1.a5ab23dd07f33p-2",
+        ]
 
     def test_zero_potential_fails_the_fit(self, section_v1):
         # without the stopping rule there is no decay: masses stay near 1

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 from scipy.stats import kstest
 
 from besselhardy import (
+    AtomicCombination,
     BesselHardyError,
+    ConfigError,
     GridFunction,
     Interval,
     InvalidInput,
@@ -17,18 +19,29 @@ from besselhardy import (
     SplittingScheme,
     WeightedMeasure,
     besq_terminal_samples,
+    bessel_i_scaled_ratio,
+    build_section,
     evolve_through,
     feynman_kac,
+    find_balanced_J,
     heat_apply,
     heat_evolve,
     heat_kernel,
     heat_kernel_mass_residual,
     kernel_matrix,
+    make_local_atom,
+    make_mu_atom,
+    maximal_function,
     perturbation_residual,
+    resupport_atom,
     schrodinger_apply,
     schrodinger_kernel_column,
 )
 from besselhardy.grid import Grid
+from besselhardy.hardy import log_time_grid
+from besselhardy.measure import ball, enlarge, parse_potential
+from besselhardy.section import DyadicInterval, section_from_text
+from besselhardy.semigroup import step_lattice
 from conftest import fit_slope
 
 SCHEME = SplittingScheme(steps_per_unit=32.0, min_steps=2)
@@ -138,6 +151,58 @@ class TestSplitting:
             else:
                 heat_evolve(m_half, t, f, SCHEME)
         assert not grid._matrix_cache
+
+
+@st.composite
+def sweep_times(draw):
+    """Nondecreasing times with exact repeats and near-duplicates mixed in."""
+    times = []
+    for t in draw(st.lists(st.floats(min_value=1e-6, max_value=200.0), min_size=1, max_size=25)):
+        times.append(t)
+        extra = draw(st.sampled_from(["none", "repeat", "next float", "relative 1e-12"]))
+        if extra == "repeat":
+            times.append(t)
+        elif extra == "next float":
+            times.append(math.nextafter(t, math.inf))
+        elif extra == "relative 1e-12":
+            times.append(t * (1.0 + 1e-12))
+    return sorted(times)
+
+
+class TestStepLattice:
+    @given(
+        times=sweep_times(),
+        steps_per_unit=st.sampled_from([8.0, 16.0, 32.0]),
+        min_steps=st.sampled_from([1, 2, 3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_legs_step_on_powers_of_two(self, times, steps_per_unit, min_steps):
+        scheme = SplittingScheme(steps_per_unit=steps_per_unit, min_steps=min_steps)
+        reached, steps, dts = step_lattice(times, scheme)
+        assert np.all(np.diff(reached) >= 0.0)
+        now, last_dt = 0.0, 0.0
+        for i, (t, r, k, dt) in enumerate(zip(times, reached, steps, dts)):
+            if i and t == times[i - 1]:
+                assert k == 0 and r == now
+            if k:
+                leg = t - now
+                assert math.frexp(dt)[0] == 0.5  # a power of two
+                assert dt <= 1.0 / steps_per_unit
+                assert dt >= leg / scheme.steps_for(leg)
+                last_dt = dt
+            else:
+                assert dt == 0.0 and r == now
+            assert abs(r - t) <= 0.5 * last_dt + 2.0 * math.ulp(t)
+            now = r
+
+    def test_rounds_the_step_up(self):
+        # a leg of 0.0125 at two steps wants 0.00625: the step is 1/128, the
+        # leg two steps, so the sweep reaches 1/64; the long leg after it
+        # steps at the 1/32 cap
+        reached, steps, dts = step_lattice([0.0125, 0.0125, 1.02])
+        assert reached.tolist() == [1 / 64, 1 / 64, 1 / 64 + 1.0]
+        assert steps.tolist() == [2, 0, 32]
+        assert dts.tolist() == [1 / 128, 0.0, 1 / 32]
 
 
 class TestEvolutionProperties:
@@ -281,8 +346,24 @@ class TestPerturbationFormula:
             quad_tol = abs(fine.rhs - coarse.rhs) + 2e-3 * coarse.scale
             assert fine.residual < 5.0 * quad_tol
 
+    def test_exact_legs_keep_their_values(self, m_half, grid_half):
+        # the Gauss-Legendre legs stay off the power-of-two step lattice:
+        # these are the values from before the lattice existed, bit for bit
+        v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
+        scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
+        rep = perturbation_residual(m_half, v, 0.5, 1.2, 2.0, grid_half, s_steps=6, scheme=scheme)
+        assert (rep.lhs.hex(), rep.rhs.hex()) == ("0x1.ee6cf00fc8d4ep-4", "0x1.ee58c95ec5e5fp-4")
 
-# every argument check of the kernel and semigroup entry points, one call each
+
+def parse_line_error(text):
+    """The error of the line check that ``parse_potential`` wraps in a ConfigError."""
+    try:
+        parse_potential(text)
+    except ConfigError as exc:
+        raise exc.__cause__
+
+
+# every argument check of the library's entry points, one call each
 BAD_CALLS = {
     "KernelEval time": lambda m, g, f: KernelEval(0.5, 0.0),
     "KernelEval alpha": lambda m, g, f: KernelEval(0.0, 1.0),
@@ -292,9 +373,44 @@ BAD_CALLS = {
     "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
     "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
+    "step_lattice times": lambda m, g, f: step_lattice([0.2, 0.1]),
+    "step_lattice steps_per_unit": lambda m, g, f: step_lattice([0.2], SplittingScheme(steps_per_unit=24.0)),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),
     "feynman_kac paths": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 1.0, np.ones_like, 0, 4, 0),
     "feynman_kac start": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 0.0, np.ones_like, 4, 4, 0),
+    "Interval endpoints": lambda m, g, f: Interval(2.0, 1.0),
+    "ball radius": lambda m, g, f: ball(1.0, 0.0),
+    "enlarge factor": lambda m, g, f: enlarge(Interval(0.0, 1.0), 0.5),
+    "WeightedMeasure alpha": lambda m, g, f: WeightedMeasure(-1.0),
+    "mu_ab order": lambda m, g, f: m.mu_ab(2.0, 1.0),
+    "gamma_ratio order": lambda m, g, f: m.gamma_ratio(1.0, 1.0),
+    "Potential piece endpoints": lambda m, g, f: Potential(pieces=((1.0, 0.5, 1.0),)),
+    "Potential piece value": lambda m, g, f: Potential(pieces=((0.0, 1.0, -1.0),)),
+    "Potential power coefficient": lambda m, g, f: Potential(power_coeff=math.inf),
+    "parse_potential duplicate power": lambda m, g, f: parse_line_error("power 1 0.5\npower 1 0.5"),
+    "parse_potential directive": lambda m, g, f: parse_line_error("spike 1 2"),
+    "make_mu_atom profile length": lambda m, g, f: make_mu_atom(g, Interval(1.0, 2.0), np.ones(1000)),
+    "make_mu_atom constant profile": lambda m, g, f: make_mu_atom(g, Interval(1.0, 2.0), np.ones_like),
+    "AtomicCombination empty": lambda m, g, f: AtomicCombination(()).synthesize(),
+    "log_time_grid range": lambda m, g, f: log_time_grid(1.0, 0.5, 4),
+    "maximal_function times": lambda m, g, f: maximal_function(m, Potential.constant(1.0), f, []),
+    "resupport_atom kind": lambda m, g, f: resupport_atom(
+        make_local_atom(g, Interval(1.0, 2.0)), Interval(1.0, 2.0), None
+    ),
+    "DyadicInterval k": lambda m, g, f: DyadicInterval(0, -1),
+    "section_from_text line": lambda m, g, f: section_from_text("bogus line"),
+    "build_section alpha": lambda m, g, f: build_section(
+        WeightedMeasure(1.5), Potential.constant(1.0), Interval(0.0, 4.0)
+    ),
+    "Grid cells": lambda m, g, f: Grid(m, [0.0, 1.0]),
+    "Grid edges": lambda m, g, f: Grid(m, [0.0, 2.0, 1.0]),
+    "Grid.build size": lambda m, g, f: Grid.build(m, 1, 1.0),
+    "GridFunction shape": lambda m, g, f: GridFunction(g, np.ones(3)),
+    "bessel order": lambda m, g, f: bessel_i_scaled_ratio(-2.0, 1.0),
+    "bessel argument": lambda m, g, f: bessel_i_scaled_ratio(0.5, -1.0),
+    "find_balanced_J alpha": lambda m, g, f: find_balanced_J(
+        WeightedMeasure(1.5), Potential.constant(1.0), DyadicInterval(0, 1)
+    ),
 }
 
 

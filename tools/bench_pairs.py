@@ -15,8 +15,14 @@ on both sides.  For every end-to-end metric of ``BENCHMARK.json`` it records
 the runs of each side, their median and quartiles (numpy linear
 percentiles), and ``change_wins``: the seeds where the change is strictly
 better (ties count for neither side).  Each ``--traced`` workload also gets
-one ``--trace 1`` run per side at the first seed, with every per-layer
-metric.  The JSON is rewritten after every run, so an interrupted
+one traced run per side at the first seed,
+
+    python3 bench/worker.py --workload <w> --seed <s> --rounds 2 --trace 1
+
+with one BLAS thread, which records every per-layer metric.  A fixed number
+of rounds gives both sides the same units, so the per-layer counts compare
+equal work; a timed run would give the faster side more units, and more of
+them warm.  The JSON is rewritten after every run, so an interrupted
 measurement keeps what it has.
 """
 
@@ -30,17 +36,40 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+from run import worker_env  # noqa: E402
+
 SIDES = ("parent", "change")
+TRACED_ROUNDS = 2
 
 
-def bench(root: Path, workload: str, seed: int, trace: int) -> dict:
-    """One ``bench/run.py`` run from ``root``; its final JSON line."""
-    cmd = [sys.executable, "bench/run.py", "--blas-threads", "1", "--workload", workload]
-    cmd += ["--seed", str(seed), "--seconds", "20", "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=False)
+def last_json(cmd: list[str], root: Path, env: dict | None = None) -> dict:
+    """Run ``cmd`` from ``root``; the JSON object on its last output line."""
+    proc = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
         raise SystemExit(f"{' '.join(cmd)} in {root} exited {proc.returncode}:\n{proc.stderr}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def bench(root: Path, workload: str, seed: int) -> dict:
+    """One untraced ``bench/run.py`` run from ``root``; its final JSON line."""
+    cmd = [sys.executable, "bench/run.py", "--blas-threads", "1", "--workload", workload]
+    cmd += ["--seed", str(seed), "--seconds", "20", "--trace", "0"]
+    return last_json(cmd, root)
+
+
+def traced(root: Path, workload: str, seed: int) -> dict:
+    """Per-layer metrics of one ``bench/worker.py`` run of ``TRACED_ROUNDS`` traced rounds."""
+    cmd = [sys.executable, "bench/worker.py", "--workload", workload, "--seed", str(seed)]
+    cmd += ["--rounds", str(TRACED_ROUNDS), "--trace", "1"]
+    phase = last_json(cmd, root, worker_env(1))["phase"]
+    return {
+        "rounds": TRACED_ROUNDS,
+        "units": len(phase["unit_ms"]),
+        "failed_checks": phase["failed_checks"],
+        "identical": phase["identical"],
+        "layers": phase["layers"],
+    }
 
 
 def summary(runs: dict, better: str) -> dict:
@@ -76,7 +105,7 @@ def main() -> int:
             turn += 1
             first[str(seed)] = order[0]
             for side in order:
-                raw[side].append(bench(roots[side], w, seed, 0))
+                raw[side].append(bench(roots[side], w, seed))
                 rate = raw[side][-1]["metrics"]["units_per_s"]["value"]
                 print(f"{w} seed {seed} {side}: {rate:.4g} units/s", file=sys.stderr)
             entry = {
@@ -92,8 +121,7 @@ def main() -> int:
             args.out.write_text(json.dumps(result, indent=1) + "\n")
     for w in args.traced:
         for side in SIDES:
-            metrics = bench(roots[side], w, seeds[0], 1)["metrics"]
-            result["traced"].setdefault(w, {})[side] = {k: v["value"] for k, v in metrics.items()}
+            result["traced"].setdefault(w, {})[side] = traced(roots[side], w, seeds[0])
             args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 
