@@ -43,10 +43,8 @@ from .hardy import (
 )
 from .kernel import (
     GaussianBoundReport,
-    KernelEval,
     SampleSpec,
     gaussian_bound_constants,
-    heat_apply,
     heat_kernel,
     heat_kernel_mass_residual,
     kernel_matrix,
@@ -59,7 +57,6 @@ from .conditions import (
     check_superharmonic,
     find_balanced_J,
     phi_equation_residual,
-    theta_mass,
 )
 from .measure import (
     Interval,
@@ -89,7 +86,6 @@ from .semigroup import (
     heat_evolve,
     perturbation_residual,
     schrodinger_apply,
-    schrodinger_kernel_column,
 )
 
 __version__ = "0.1.0"

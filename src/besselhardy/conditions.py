@@ -26,7 +26,7 @@ from .hardy import Bump
 from .kernel import heat_kernel
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through, schrodinger_apply
+from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through
 
 
 def balance_functional(m: WeightedMeasure, potential: Potential, interval: Interval) -> float:
@@ -284,21 +284,6 @@ def _tail_bound(
     hi = x_max + 30.0 * math.sqrt(u) + 10.0
     val, _ = quad(integrand, x_max, hi, epsabs=1e-14, epsrel=1e-9, limit=100)
     return c_const / ball * val
-
-
-def theta_mass(
-    m: WeightedMeasure,
-    potential: Potential,
-    z: float,
-    t: float,
-    grid: Grid,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
-    n_steps: int | None = None,
-) -> float:
-    """Total mu-mass of the Schroedinger kernel column from z at time t."""
-    col = GridFunction.point_mass(grid, z)
-    col = schrodinger_apply(m, potential, t, col, scheme, n_steps=n_steps)
-    return col.integral()
 
 
 @dataclass

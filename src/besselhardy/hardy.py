@@ -283,8 +283,8 @@ def maximal_function(
 ) -> GridFunction:
     """Node-wise sup of |K_t f| over the time grid (cumulative evolution)."""
     ts = np.sort(np.asarray(t_grid, dtype=np.float64))
-    if ts.size == 0 or ts[0] <= 0.0:
-        raise InvalidInput("time grid must be positive and nonempty")
+    if ts.size == 0:
+        raise InvalidInput("time grid must be nonempty")
     best = np.zeros(len(f.grid))
     for current in evolve_through(m, potential, f, ts, scheme):
         np.maximum(best, np.abs(current.values), out=best)

@@ -16,7 +16,7 @@ pairs whose Gaussian factor is not 0.0; every other pair gets +0.0, which
 is what the full product gives there.  ``heat_kernel`` is this formula at
 every point it is given.
 
-``kernel_matrix`` stops earlier, where an a-priori bound shows that the
+The grid matrix stops earlier, where an a-priori bound shows that the
 rest of a row cannot matter.  For alpha > 0 (nu > -1/2) the ratio g(nu, z)
 decreases in z, so g <= g(nu, 0+) = r0 = 1 / (2^nu Gamma(nu + 1)) and every
 entry is at most (2t)^(-1-nu) r0 exp(-(x-y)^2 / 4t).  The matrix keeps the
@@ -28,6 +28,8 @@ pairs a band would otherwise evaluate, and every subnormal entry, which
 makes dense matvecs up to twice as slow; the matrix holds neither.  The
 band is walked around the diagonal in row blocks of bounded size, and the
 Bessel kernels stop each argument at its own last term (see ``bessel``).
+``kernel_matrix`` scales that matrix to be sub-Markov and caches it on the
+grid; it is the one matrix the evolution uses.
 """
 
 from __future__ import annotations
@@ -40,29 +42,16 @@ from scipy.integrate import quad
 
 from .bessel import _ive_ratio_scalar, bessel_i_scaled_ratio
 from .errors import InvalidInput, MixedGrids, ScalingNotConverged
-from .grid import Grid, GridFunction
+from .grid import Grid
 from .measure import WeightedMeasure
 
 
-@dataclass(frozen=True)
-class KernelEval:
-    """Heat kernel evaluator at a fixed time."""
-
-    alpha: float
-    t: float
-
-    def __post_init__(self):
-        if not (self.t > 0.0 and math.isfinite(self.t)):
-            raise InvalidInput(f"time must be positive and finite, got {self.t!r}")
-        if self.alpha <= 0.0:
-            raise InvalidInput("alpha must be positive")
-
-    @property
-    def order(self) -> float:
-        return 0.5 * (self.alpha - 1.0)
-
-    def __call__(self, x, y):
-        return heat_kernel(WeightedMeasure(self.alpha), self.t, x, y)
+def _check_time(t, after: float = 0.0) -> None:
+    """Raise InvalidInput unless 0 < t < inf; a sweep passes its previous time as ``after``."""
+    if not 0.0 < t < math.inf:  # also rejects NaN
+        raise InvalidInput(f"time must be positive and finite, got {float(t)!r}")
+    if t < after:
+        raise InvalidInput(f"times must be nondecreasing, got {float(t)!r} after {float(after)!r}")
 
 
 def _kernel(nu: float, t: float, x, y):
@@ -92,12 +81,13 @@ def _log_p(nu: float, t, x, y):
 
 
 def heat_kernel(m: WeightedMeasure, t: float, x, y):
-    """P_t(x, y) for scalars or broadcastable arrays with x, y > 0."""
+    """P_t(x, y) for scalars or broadcastable arrays with x, y > 0 and 0 < t < inf."""
+    _check_time(t)
     val = _kernel(m.kernel_order, t, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
     return float(val) if val.ndim == 0 else val
 
 
-# Every row and column mu-mass of a substochastic kernel matrix is at most
+# Every row and column mu-mass of ``kernel_matrix`` is at most
 # MASS_CAP; the scaling aims a little lower so that one update clears the cap.
 MASS_CAP = 1.0 - 1e-12
 _MASS_TARGET = 1.0 - 1e-10
@@ -156,8 +146,8 @@ def _zeros_line_aligned(n: int) -> np.ndarray:
     return buf[skip : skip + n * n].reshape(n, n)
 
 
-def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float, substochastic: bool = True) -> np.ndarray:
-    """P_t on the grid nodes, cut at a 2^-60 mass bound; cached per (alpha, t).
+def _raw_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
+    """P_t on the grid nodes, cut at a 2^-60 mass bound; unscaled and uncached.
 
     Every entry kept is the formula bit for bit, and every entry dropped is
     +0.0.  Row i keeps the band i <= j < hi_i with x_j - x_i <= sqrt(4 E t),
@@ -171,26 +161,9 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float, substochastic: bool 
     Rows are assembled in blocks of at most ``_BLOCK_PAIRS`` candidates (a
     row is never split), so no array of order n^2 besides the matrix itself
     is built.
-
-    When ``substochastic`` is set (the default used by the semigroup), the
-    symmetric matrix is scaled to D P D with 0 < d_i <= 1 so that every row
-    mass sum_j P_ij w_j and every column mass sum_i w_i P_ij is at most
-    MASS_CAP = 1 - 1e-12.  The result stays positive and W^1/2 P W^1/2 stays
-    symmetric, so the discrete evolution is sub-Markov both in L-inf (the
-    maximum principle) and in L1(mu).  Where the cells are narrow against
-    sqrt(t) the sampled masses are already near 1 and d moves by ~1e-10;
-    where they are wider, the sampled kernel overshoots unit mass and d
-    pulls those rows and columns back under the cap.
     """
-    if m.alpha != grid.measure.alpha:
-        raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
+    _check_time(t)
     t = float(t)
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidInput(f"time must be positive and finite, got {t!r}")
-    key = (float(m.alpha), t, bool(substochastic))
-    cached = grid.cache_get(key)
-    if cached is not None:
-        return cached
     nodes = grid.nodes
     n = nodes.size
     edge = math.sqrt(4.0 * _band_exponent(m.kernel_order, t, n, grid.weights.max()) * t)
@@ -209,29 +182,31 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float, substochastic: bool 
         mat[r0:r1, r0:c1][band] = vals
         mat[r0:c1, r0:r1].T[band] = vals
         r0 = r1
-    if substochastic:
-        mat = _scale_substochastic(mat, grid.weights)
-    grid.cache_put(key, mat)
     return mat
 
 
-def heat_apply(m: WeightedMeasure, t: float, f: GridFunction, steps: int = 1) -> GridFunction:
-    """Quadrature of P_t against f on f's grid; ``steps`` splits the time.
+def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
+    """The sub-Markov P_t on the grid nodes, cached on the grid per t.
 
-    steps = 1 applies the exact kernel once.  Larger values compose the
-    kernel at t/steps, which is what the split Schroedinger evolution uses as
-    its kinetic factor; comparisons against that evolution should match steps.
+    The cut matrix of ``_raw_matrix`` is scaled to D P D with 0 < d_i <= 1
+    so that every row mass sum_j P_ij w_j and every column mass
+    sum_i w_i P_ij is at most MASS_CAP = 1 - 1e-12.  The result stays
+    positive and W^1/2 P W^1/2 stays symmetric, so the discrete evolution is
+    sub-Markov both in L-inf (the maximum principle) and in L1(mu).  Where
+    the cells are narrow against sqrt(t) the sampled masses are already near
+    1 and d moves by ~1e-10; where they are wider, the sampled kernel
+    overshoots unit mass and d pulls those rows and columns back under the
+    cap.  The measure must be the grid's, so t alone keys the cache.
     """
-    if not t > 0.0:
-        raise InvalidInput(f"time must be positive, got {t!r}")
-    if steps < 1:
-        raise InvalidInput(f"steps must be at least 1, got {steps!r}")
-    grid = f.grid
-    mat = kernel_matrix(m, grid, t / steps)
-    v = f.values
-    for _ in range(steps):
-        v = mat @ (grid.weights * v)
-    return GridFunction(grid, v)
+    if m.alpha != grid.measure.alpha:
+        raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
+    _check_time(t)
+    t = float(t)
+    mat = grid.cache_get(t)
+    if mat is None:
+        mat = _scale_substochastic(_raw_matrix(m, grid, t), grid.weights)
+        grid.cache_put(t, mat)
+    return mat
 
 
 @dataclass(frozen=True)
@@ -255,6 +230,7 @@ def heat_kernel_mass_residual(
     The x^alpha endpoint weight is handled by an algebraic-weight rule on
     (0, R); R truncates where the Gaussian factor is below 1e-16 of the peak.
     """
+    _check_time(t)
     if quad_tolerance <= 0.0:
         raise InvalidInput("tolerance must be positive")
     nu = m.kernel_order

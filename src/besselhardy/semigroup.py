@@ -19,6 +19,7 @@ Two independent realizations:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -26,7 +27,7 @@ import numpy as np
 
 from .errors import InvalidInput, QuadratureBudgetExceeded
 from .grid import Grid, GridFunction
-from .kernel import heat_kernel, kernel_matrix
+from .kernel import _check_time, heat_kernel, kernel_matrix
 from .measure import Potential, WeightedMeasure
 
 
@@ -59,26 +60,40 @@ class SplittingScheme:
 DEFAULT_SCHEME = SplittingScheme()
 
 
+def _check_count(name: str, n) -> None:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidInput(f"{name} must be at least 1 and an integer, got {n!r}")
+
+
 def _evolve(
     m: WeightedMeasure,
-    grid: Grid,
-    v_nodes: np.ndarray,
+    potential: Potential,
     t: float,
-    values: np.ndarray,
-    n_steps: int,
-    kinetic_substeps: int = 1,
-) -> np.ndarray:
-    dt = t / n_steps
-    mat = kernel_matrix(m, grid, dt / kinetic_substeps)
-    half = np.exp(-0.5 * dt * v_nodes)
+    f: GridFunction,
+    scheme: SplittingScheme,
+    n_steps: int | None,
+) -> GridFunction:
+    """K_t f by ``n_steps`` Strang steps (``scheme.steps_for(t)`` when None).
+
+    The one evolution loop: ``schrodinger_apply`` and ``heat_evolve`` both
+    call it, and it checks t and the step count for both.
+    """
+    _check_time(t)
+    steps = scheme.steps_for(t) if n_steps is None else n_steps
+    _check_count("steps", steps)
+    potential.validate_for(m.alpha)
+    grid = f.grid
+    dt = t / steps
+    half = np.exp(-0.5 * dt * np.asarray(potential(grid.nodes), dtype=np.float64))
+    mat = kernel_matrix(m, grid, dt / scheme.kinetic_substeps)
     w = grid.weights
-    out = values
-    for _ in range(n_steps):
+    out = f.values
+    for _ in range(steps):
         out = half * out
-        for _ in range(kinetic_substeps):
+        for _ in range(scheme.kinetic_substeps):
             out = mat @ (w * out)
         out = half * out
-    return out
+    return GridFunction(grid, out)
 
 
 def schrodinger_apply(
@@ -90,14 +105,7 @@ def schrodinger_apply(
     n_steps: int | None = None,
 ) -> GridFunction:
     """Evolve f by the split Schroedinger semigroup for time t."""
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidInput(f"time must be positive and finite, got {t!r}")
-    potential.validate_for(m.alpha)
-    steps = n_steps if n_steps is not None else scheme.steps_for(t)
-    v_nodes = np.asarray(potential(f.grid.nodes), dtype=np.float64)
-    return GridFunction(
-        f.grid, _evolve(m, f.grid, v_nodes, t, f.values, steps, scheme.kinetic_substeps)
-    )
+    return _evolve(m, potential, t, f, scheme, n_steps)
 
 
 def evolve_through(
@@ -108,7 +116,7 @@ def evolve_through(
     scheme: SplittingScheme = DEFAULT_SCHEME,
     n_steps: int | None = None,
 ) -> Iterator[GridFunction]:
-    """Yield K_t f for each t of the positive nondecreasing ``times``, leg by leg.
+    """Yield K_t f for each t of the positive, finite, nondecreasing ``times``, leg by leg.
 
     Each leg from the previous time is one ``schrodinger_apply`` call, so a
     sweep builds one kernel matrix per distinct leg step size.  A repeated
@@ -117,8 +125,7 @@ def evolve_through(
     current = f
     prev = 0.0
     for t in times:
-        if not (t > 0.0 and t >= prev):  # also rejects NaN
-            raise InvalidInput(f"times must be positive and nondecreasing, got {float(t)!r} after {float(prev)!r}")
+        _check_time(t, prev)
         if t > prev:
             current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
             prev = t
@@ -154,8 +161,7 @@ def step_lattice(times, scheme: SplittingScheme = DEFAULT_SCHEME) -> tuple[np.nd
     dts = np.zeros(ts.size)
     now = prev = 0.0
     for i, t in enumerate(ts):
-        if not (0.0 < t < math.inf and t >= prev):  # also rejects NaN
-            raise InvalidInput(f"times must be positive, finite and nondecreasing, got {float(t)!r} after {prev!r}")
+        _check_time(t, prev)
         leg = t - now
         if t > prev and leg > 0.0:
             frac, exp = math.frexp(leg / scheme.min_steps)  # = frac 2^exp, 1/2 <= frac < 1
@@ -197,30 +203,11 @@ def heat_evolve(
     """Heat evolution with the same stepping as schrodinger_apply (V = 0).
 
     This is the right-hand side of the structural domination inequality: it
-    uses the identical kinetic matrices, so the comparison is exact.
+    uses the identical kinetic matrices, so the comparison is exact.  It
+    calls ``_evolve``, not ``schrodinger_apply``, so that a tracer wrapping
+    both public names counts its matvecs once.
     """
-    if not (t > 0.0 and math.isfinite(t)):
-        raise InvalidInput(f"time must be positive and finite, got {t!r}")
-    steps = n_steps if n_steps is not None else scheme.steps_for(t)
-    zero = np.zeros(len(f.grid))
-    return GridFunction(
-        f.grid, _evolve(m, f.grid, zero, t, f.values, steps, scheme.kinetic_substeps)
-    )
-
-
-def schrodinger_kernel_column(
-    m: WeightedMeasure,
-    potential: Potential,
-    t: float,
-    y: float,
-    grid: Grid,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
-    n_steps: int | None = None,
-) -> GridFunction:
-    """Approximate column K_t(., y): evolve the unit point mass at y's cell."""
-    return schrodinger_apply(
-        m, potential, t, GridFunction.point_mass(grid, y), scheme, n_steps
-    )
+    return _evolve(m, Potential.zero(), t, f, scheme, n_steps)
 
 
 @dataclass(frozen=True)
@@ -230,6 +217,14 @@ class FeynmanKacResult:
     seed: int
     n_paths: int
     n_steps: int
+
+
+def _check_paths(t: float, x0: float, n_paths: int, n_steps: int) -> None:
+    _check_time(t)
+    if not 0.0 < x0 < math.inf:  # also rejects NaN
+        raise InvalidInput(f"start must be positive and finite, got {float(x0)!r}")
+    _check_count("paths", n_paths)
+    _check_count("steps", n_steps)
 
 
 def _bessel_path(
@@ -266,10 +261,7 @@ def feynman_kac(
     potential integral is accumulated by the trapezoid rule along the path.
     Identical (seed, n_paths, n_steps) inputs give bit-identical results.
     """
-    if n_paths < 1 or n_steps < 1:
-        raise InvalidInput("need n_paths >= 1 and n_steps >= 1")
-    if x0 <= 0.0 or t <= 0.0:
-        raise InvalidInput("need x0 > 0 and t > 0")
+    _check_paths(t, x0, n_paths, n_steps)
     potential.validate_for(m.alpha)
     dt = t / n_steps
     path = _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed))
@@ -294,6 +286,7 @@ def besq_terminal_samples(
     m: WeightedMeasure, t: float, x0: float, n_paths: int, n_steps: int, seed: int
 ) -> np.ndarray:
     """Terminal B_t samples of the free Bessel process (marginal checks)."""
+    _check_paths(t, x0, n_paths, n_steps)
     for r in _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed)):
         pass
     return r
@@ -325,6 +318,8 @@ def perturbation_residual(
     numerical; the report carries the kernel scale P_t(x,y) for relative
     comparisons.
     """
+    _check_time(t)
+    _check_count("s_steps", s_steps)
     ix = grid.index_of(x)
     x = float(grid.nodes[ix])
     gl_nodes, gl_weights = np.polynomial.legendre.leggauss(s_steps)

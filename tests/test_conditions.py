@@ -18,7 +18,6 @@ from besselhardy import (
     find_balanced_J,
     phi_equation_residual,
     schrodinger_apply,
-    theta_mass,
 )
 from besselhardy.conditions import LeftPlateauBump, SmoothBump, balance_functional
 from besselhardy.grid import Grid
@@ -178,16 +177,16 @@ class TestSuperharmonic:
 
 class TestThetaMass:
     def test_free_mass_conserved(self, cond_grid):
-        val = theta_mass(M, Potential.zero(), 1.0, 0.5, cond_grid)
+        val = schrodinger_apply(M, Potential.zero(), 0.5, GridFunction.point_mass(cond_grid, 1.0)).integral()
         assert val == pytest.approx(1.0, abs=2e-4)
 
     def test_constant_potential_exponential(self, cond_grid):
         c, t = 1.0, 0.7
-        val = theta_mass(M, Potential.constant(c, (0.0, 200.0)), 1.0, t, cond_grid)
+        val = schrodinger_apply(M, Potential.constant(c, (0.0, 200.0)), t, GridFunction.point_mass(cond_grid, 1.0)).integral()
         assert val == pytest.approx(math.exp(-c * t), rel=2e-3)
 
     def test_nonincreasing_in_time(self, cond_grid):
-        vals = [theta_mass(M, V1, 1.0, t, cond_grid) for t in (0.1, 0.4, 1.0, 3.0)]
+        vals = [schrodinger_apply(M, V1, t, GridFunction.point_mass(cond_grid, 1.0)).integral() for t in (0.1, 0.4, 1.0, 3.0)]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(vals, vals[1:]))
 
 

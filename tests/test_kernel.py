@@ -10,13 +10,12 @@ from scipy.integrate import quad
 from besselhardy import (
     GridFunction,
     Interval,
-    KernelEval,
     MixedGrids,
     SampleSpec,
     ScalingNotConverged,
     WeightedMeasure,
     gaussian_bound_constants,
-    heat_apply,
+    heat_evolve,
     heat_kernel,
     heat_kernel_mass_residual,
     kernel_matrix,
@@ -96,14 +95,6 @@ class TestPointwise:
         v = heat_kernel(m, 1e-3, 10.0, 10.0)  # xy/2t = 5e4
         assert math.isfinite(v) and v > 0.0
 
-    def test_kernel_eval_wrapper(self):
-        k = KernelEval(0.5, 0.3)
-        m = WeightedMeasure(0.5)
-        assert k(1.0, 2.0) == heat_kernel(m, 0.3, 1.0, 2.0)
-        assert k.order == -0.25
-        with pytest.raises(ValueError):
-            KernelEval(0.5, 0.0)
-
 
 class TestNormalization:
     @pytest.mark.parametrize(
@@ -136,29 +127,29 @@ class TestChapmanKolmogorov:
 
 class TestHeatApply:
     def test_constant_function_preserved_interior(self, m_half, grid_half):
-        out = heat_apply(m_half, 0.5, GridFunction.ones(grid_half))
+        out = heat_evolve(m_half, 0.5, GridFunction.ones(grid_half), n_steps=1)
         interior = grid_half.nodes < grid_half.x_max - 8.0 * math.sqrt(0.5)
         assert np.max(np.abs(out.values[interior] - 1.0)) < 3e-5
 
     def test_positivity_preserving(self, m_half, grid_half):
         rng = np.random.default_rng(0)
         f = GridFunction(grid_half, rng.uniform(0.0, 1.0, len(grid_half)))
-        out = heat_apply(m_half, 0.2, f)
+        out = heat_evolve(m_half, 0.2, f, n_steps=1)
         assert np.all(out.values >= 0.0)
 
     def test_semigroup_law(self, m_half, grid_half):
         f = GridFunction(grid_half, np.exp(-((grid_half.nodes - 2.0) ** 2)))
-        one_shot = heat_apply(m_half, 0.75, f)
-        composed = heat_apply(m_half, 0.5, heat_apply(m_half, 0.25, f))
+        one_shot = heat_evolve(m_half, 0.75, f, n_steps=1)
+        composed = heat_evolve(m_half, 0.5, heat_evolve(m_half, 0.25, f, n_steps=1), n_steps=1)
         ones_defect = np.max(
-            np.abs(heat_apply(m_half, 0.75, GridFunction.ones(grid_half)).values[:-40] - 1.0)
+            np.abs(heat_evolve(m_half, 0.75, GridFunction.ones(grid_half), n_steps=1).values[:-40] - 1.0)
         )
         assert np.max(np.abs(one_shot.values - composed.values)) < 10.0 * ones_defect + 1e-10
 
     def test_strong_continuity_at_zero(self, m_half):
         fine = Grid.build(m_half, 1500, 6.0, 10.0)
         f = GridFunction(fine, np.exp(-((fine.nodes - 1.0) ** 2) / 0.1))
-        out = heat_apply(m_half, 1e-4, f)
+        out = heat_evolve(m_half, 1e-4, f, n_steps=1)
         assert (out - f).l1() < 5e-3 * f.l1()
 
     def test_substochastic_columns(self, m_half, grid_half):
@@ -170,7 +161,7 @@ class TestHeatApply:
         # at small dt the sampled kernel is hot by rows and by columns alike
         for dt in (1e-4, 1e-3):
             assert_sub_markov(kernel_matrix(m_half, grid_half, dt), w)
-            ones = heat_apply(m_half, dt, GridFunction.ones(grid_half))
+            ones = heat_evolve(m_half, dt, GridFunction.ones(grid_half), n_steps=1)
             assert ones.values.max() <= 1.0
 
 
@@ -182,7 +173,7 @@ class TestMatrixAssembly:
         m = WeightedMeasure(0.5)
         grid = Grid.build(m, 320, 30.0, 60.0)  # the CLI's default grid
         x = grid.nodes
-        raw = kernel_matrix(m, grid, t, substochastic=False)
+        raw = kernel_module._raw_matrix(m, grid, t)
         assert_cut_of(raw, heat_kernel(m, t, x[:, None], x[None, :]), grid.weights)
         assert_no_subnormal(raw)
 
@@ -194,7 +185,7 @@ class TestMatrixAssembly:
         grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
         x = grid.nodes
         gauss, want = full_square_kernel(m.kernel_order, t, x[:, None], x[None, :])
-        mat = kernel_matrix(m, grid, t, substochastic=False)
+        mat = kernel_module._raw_matrix(m, grid, t)
         assert_cut_of(mat, want, grid.weights)
         assert np.array_equal(mat, mat.T)
         # the cut ends the band before the Gaussian factor underflows
@@ -222,7 +213,7 @@ class TestMatrixAssembly:
         _, want = full_square_kernel(m.kernel_order, t, x, y)
         got = heat_kernel(m, t, x, y)
         assert np.array_equal(got, want) and not np.signbit(got[-1])
-        mat = kernel_matrix(m, grid, t, substochastic=False)
+        mat = kernel_module._raw_matrix(m, grid, t)
         assert_cut_of(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1], grid.weights)
         assert_no_subnormal(mat)
         assert_no_subnormal(kernel_matrix(m, grid, t))
@@ -235,7 +226,7 @@ class TestMatrixAssembly:
         for pairs in (1, 97, 1 << 16):
             monkeypatch.setattr(kernel_module, "_BLOCK_PAIRS", pairs)
             grid = grid_of_test14(m)
-            built.append((kernel_matrix(m, grid, t, substochastic=False), kernel_matrix(m, grid, t)))
+            built.append((kernel_module._raw_matrix(m, grid, t), kernel_matrix(m, grid, t)))
         for raw, scaled in built[1:]:
             assert np.array_equal(raw, built[0][0])
             assert np.array_equal(scaled, built[0][1])
@@ -256,8 +247,8 @@ class TestMatrixAssembly:
         # dense matvecs ran about 10% slower on a matrix 16 bytes past a page boundary
         grid = Grid.build(m_half, 420, 24.0, 80.0)
         for t in (1e-3, 0.1):
-            for scaled in (False, True):
-                assert kernel_matrix(m_half, grid, t, substochastic=scaled).ctypes.data % 64 == 0
+            for build in (kernel_module._raw_matrix, kernel_matrix):
+                assert build(m_half, grid, t).ctypes.data % 64 == 0
 
     def test_mismatched_measure_rejected(self, grid_half):
         with pytest.raises(MixedGrids, match="alpha"):
@@ -265,12 +256,13 @@ class TestMatrixAssembly:
 
 
 class TestBadTimes:
-    @pytest.mark.parametrize("substochastic", [True, False])
+    @pytest.mark.parametrize("scaled", [True, False])
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
-    def test_kernel_matrix_rejects_time(self, m_half, t, substochastic):
+    def test_kernel_matrix_rejects_time(self, m_half, t, scaled):
         grid = Grid.build(m_half, 40, 8.0, 10.0)
+        build = kernel_matrix if scaled else kernel_module._raw_matrix
         with pytest.raises(ValueError, match="time must be positive and finite"):
-            kernel_matrix(m_half, grid, t, substochastic)
+            build(m_half, grid, t)
         assert not grid._matrix_cache
 
     @pytest.mark.parametrize(
@@ -279,13 +271,13 @@ class TestBadTimes:
     def test_heat_apply_rejects_time_and_steps(self, m_half, t, steps):
         grid = Grid.build(m_half, 40, 8.0, 10.0)
         with pytest.raises(ValueError, match="time must be positive|steps must be at least 1"):
-            heat_apply(m_half, t, GridFunction.ones(grid), steps)
+            heat_evolve(m_half, t, GridFunction.ones(grid), n_steps=steps)
         assert not grid._matrix_cache
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
-    def test_kernel_eval_rejects_time(self, t):
+    def test_kernel_eval_rejects_time(self, m_half, t):
         with pytest.raises(ValueError, match="time must be positive and finite"):
-            KernelEval(0.5, t)
+            heat_kernel(m_half, t, 1.0, 2.0)
 
 
 class TestSubMarkov:
@@ -303,7 +295,7 @@ class TestSubMarkov:
         m = WeightedMeasure(alpha)
         grid = Grid.build(m, n, x_max, ratio)
         mat = kernel_matrix(m, grid, dt)
-        raw = kernel_matrix(m, grid, dt, substochastic=False)
+        raw = kernel_module._raw_matrix(m, grid, dt)
         assert_sub_markov(mat, grid.weights)
         assert np.all(mat >= 0.0) and np.all(np.diag(mat) > 0.0)
         assert np.all(mat <= raw)

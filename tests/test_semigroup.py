@@ -13,7 +13,6 @@ from besselhardy import (
     GridFunction,
     Interval,
     InvalidInput,
-    KernelEval,
     Potential,
     QuadratureBudgetExceeded,
     SplittingScheme,
@@ -24,7 +23,6 @@ from besselhardy import (
     evolve_through,
     feynman_kac,
     find_balanced_J,
-    heat_apply,
     heat_evolve,
     heat_kernel,
     heat_kernel_mass_residual,
@@ -35,7 +33,6 @@ from besselhardy import (
     perturbation_residual,
     resupport_atom,
     schrodinger_apply,
-    schrodinger_kernel_column,
 )
 from besselhardy.grid import Grid
 from besselhardy.hardy import log_time_grid
@@ -240,7 +237,7 @@ class TestEvolutionProperties:
 class TestKernelColumn:
     def test_zero_potential_column_matches_kernel(self, m_half, grid_half):
         t, y = 0.5, 1.0
-        col = schrodinger_kernel_column(m_half, Potential.zero(), t, y, grid_half, SCHEME)
+        col = schrodinger_apply(m_half, Potential.zero(), t, GridFunction.point_mass(grid_half, y), SCHEME)
         y_node = grid_half.nodes[grid_half.index_of(y)]
         exact = heat_kernel(m_half, t, grid_half.nodes, y_node)
         peak = exact.max()
@@ -250,14 +247,14 @@ class TestKernelColumn:
     def test_column_dominated_by_heat_kernel(self, m_half, grid_half):
         t, y = 0.5, 1.5
         v = Potential.constant(0.8, (0.0, 100.0))
-        col = schrodinger_kernel_column(m_half, v, t, y, grid_half, SCHEME)
+        col = schrodinger_apply(m_half, v, t, GridFunction.point_mass(grid_half, y), SCHEME)
         y_node = grid_half.nodes[grid_half.index_of(y)]
         exact = heat_kernel(m_half, t, grid_half.nodes, y_node)
         assert np.all(col.values >= 0.0)
         assert np.all(col.values <= exact * (1.0 + 1e-6) + 1e-12 * exact.max())
 
     def test_column_mass_at_most_one(self, m_half, grid_half):
-        col = schrodinger_kernel_column(m_half, piecewise_v(), 0.7, 2.0, grid_half, SCHEME)
+        col = schrodinger_apply(m_half, piecewise_v(), 0.7, GridFunction.point_mass(grid_half, 2.0), SCHEME)
         assert col.integral() <= 1.0 + 1e-12
 
 
@@ -365,19 +362,26 @@ def parse_line_error(text):
 
 # every argument check of the library's entry points, one call each
 BAD_CALLS = {
-    "KernelEval time": lambda m, g, f: KernelEval(0.5, 0.0),
-    "KernelEval alpha": lambda m, g, f: KernelEval(0.0, 1.0),
+    "heat_kernel time": lambda m, g, f: heat_kernel(m, 0.0, 1.0, 2.0),
+    "heat_kernel infinite time": lambda m, g, f: heat_kernel(m, math.inf, 1.0, 2.0),
     "kernel_matrix time": lambda m, g, f: kernel_matrix(m, g, -1.0),
-    "heat_apply time": lambda m, g, f: heat_apply(m, 0.0, f),
-    "heat_apply steps": lambda m, g, f: heat_apply(m, 0.1, f, 0),
+    "mass_residual time": lambda m, g, f: heat_kernel_mass_residual(m, 0.0, 1.0),
     "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
+    "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
     "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
+    "evolve_through steps": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.1], n_steps=0)),
     "step_lattice times": lambda m, g, f: step_lattice([0.2, 0.1]),
     "step_lattice steps_per_unit": lambda m, g, f: step_lattice([0.2], SplittingScheme(steps_per_unit=24.0)),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),
+    "heat_evolve zero steps": lambda m, g, f: heat_evolve(m, 0.1, f, n_steps=0),
+    "heat_evolve fractional steps": lambda m, g, f: heat_evolve(m, 0.1, f, n_steps=2.5),
     "feynman_kac paths": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 1.0, np.ones_like, 0, 4, 0),
     "feynman_kac start": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 0.0, np.ones_like, 4, 4, 0),
+    "feynman_kac NaN start": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, math.nan, np.ones_like, 4, 4, 0),
+    "feynman_kac time": lambda m, g, f: feynman_kac(m, Potential.zero(), math.nan, 1.0, np.ones_like, 4, 4, 0),
+    "besq_terminal_samples time": lambda m, g, f: besq_terminal_samples(m, 0.0, 1.0, 4, 4, 0),
+    "perturbation_residual s_steps": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1.0, 1.5, g, s_steps=0),
     "Interval endpoints": lambda m, g, f: Interval(2.0, 1.0),
     "ball radius": lambda m, g, f: ball(1.0, 0.0),
     "enlarge factor": lambda m, g, f: enlarge(Interval(0.0, 1.0), 0.5),

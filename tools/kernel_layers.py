@@ -7,11 +7,12 @@ checkout's ``src/``):
 
 It prints:
 
-- ``build_ms``: the raw ``kernel_matrix(..., substochastic=False)`` build in
+- ``build_ms``: the raw (unscaled, uncached) ``kernel._raw_matrix`` build in
   ms, best of ``--repeats``, on the test-14 grid (alpha 0.5, x_max 44,
   ratio 300, breakpoints k/8) at n = 320, 900, 1400 and dt = 1e-4, 1e-3,
   1/32, 1; every build runs on a fresh grid, so no cache hit is timed;
-- ``sha256``: the digest of every raw and scaled matrix at those points;
+- ``sha256``: the digest of every raw matrix and every scaled one, which
+  ``kernel_matrix`` returns, at those points;
 - ``kept_pairs``: the pairs i <= j with a nonzero raw entry at those points;
 - ``subnormal_entries``: the subnormal entries of every raw and scaled matrix
   at those points;
@@ -23,7 +24,7 @@ It prints:
   call, best of ``--repeats``;
 - ``bessel_evals_per_s_kernel_args``: the same on the arguments one raw build
   evaluates at n = 900, dt = 1e-3, recorded from that build, in the calls
-  ``kernel_matrix`` makes, best of ``--repeats``; ``bessel_evals_kernel_args``
+  ``_raw_matrix`` makes, best of ``--repeats``; ``bessel_evals_kernel_args``
   is their count;
 - ``src_lines``: the line count of ``src/besselhardy/*.py``.
 
@@ -87,11 +88,11 @@ def main() -> None:
         for label, dt in STEPS.items():
             grids = [test14_grid(n) for _ in range(repeats)]
             build_ms.setdefault(str(n), {})[label] = round(
-                1e3 * best_of(repeats, lambda: kernel_matrix(m, grids.pop(), dt, substochastic=False)), 2
+                1e3 * best_of(repeats, lambda: kernel_module._raw_matrix(m, grids.pop(), dt)), 2
             )
             grid = test14_grid(n)
-            for scaled in (False, True):
-                mat = kernel_matrix(m, grid, dt, substochastic=scaled)
+            for scaled, build in ((False, kernel_module._raw_matrix), (True, kernel_matrix)):
+                mat = build(m, grid, dt)
                 name = f"n={n} dt={label} {'scaled' if scaled else 'raw'}"
                 digests[name] = hashlib.sha256(mat.tobytes()).hexdigest()
                 subnormal[name] = int(np.count_nonzero((mat != 0.0) & (np.abs(mat) < np.finfo(mat.dtype).tiny)))
@@ -117,7 +118,7 @@ def main() -> None:
 
     kernel_module.bessel_i_scaled_ratio = recorded
     try:
-        kernel_matrix(m, test14_grid(900), 1e-3, substochastic=False)
+        kernel_module._raw_matrix(m, test14_grid(900), 1e-3)
     finally:
         kernel_module.bessel_i_scaled_ratio = bessel_i_scaled_ratio
     kernel_args = sum(b.size for b in blocks)
