@@ -19,7 +19,6 @@ from .errors import (
     MixedGrids,
     NonLocallyIntegrable,
     QuadratureBudgetExceeded,
-    ScalingNotConverged,
     SupportViolation,
 )
 from .grid import CellRange, Grid, GridFunction

@@ -33,10 +33,6 @@ class QuadratureBudgetExceeded(BesselHardyError):
     """Adaptive quadrature failed to meet tolerance within its budget."""
 
 
-class ScalingNotConverged(BesselHardyError):
-    """Symmetric scaling failed to bring every kernel-matrix mass under the cap."""
-
-
 class InvalidInput(BesselHardyError, ValueError):
     """An argument is outside the domain an entry point accepts."""
 

@@ -18,6 +18,9 @@ import numpy as np
 from .errors import InvalidInput, MixedGrids
 from .measure import Interval, WeightedMeasure
 
+# A grid keeps this many kernel matrices, least recently used first out.
+_CACHE_ENTRIES = 16
+
 
 class Grid:
     """Nonuniform grid with geometric clustering near the origin.
@@ -118,10 +121,10 @@ class Grid:
             return self._matrix_cache[key]
         return None
 
-    def cache_put(self, key, value, cap: int = 16):
+    def cache_put(self, key, value):
         self._matrix_cache[key] = value
         self._matrix_cache.move_to_end(key)
-        while len(self._matrix_cache) > cap:
+        while len(self._matrix_cache) > _CACHE_ENTRIES:
             self._matrix_cache.popitem(last=False)
 
 

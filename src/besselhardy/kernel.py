@@ -28,8 +28,8 @@ pairs a band would otherwise evaluate, and every subnormal entry, which
 makes dense matvecs up to twice as slow; the matrix holds neither.  The
 band is walked around the diagonal in row blocks of bounded size, and the
 Bessel kernels stop each argument at its own last term (see ``bessel``).
-``kernel_matrix`` scales that matrix to be sub-Markov and caches it on the
-grid; it is the one matrix the evolution uses.
+``kernel_matrix`` caps that matrix to be sub-Markov in one closed-form
+pass and caches it on the grid; it is the one matrix the evolution uses.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .bessel import _ive_ratio_scalar, bessel_i_scaled_ratio
-from .errors import InvalidInput, MixedGrids, ScalingNotConverged
+from .errors import InvalidInput, MixedGrids
 from .grid import Grid
 from .measure import WeightedMeasure
 
@@ -81,41 +81,27 @@ def _log_p(nu: float, t, x, y):
 
 
 def heat_kernel(m: WeightedMeasure, t: float, x, y):
-    """P_t(x, y) for scalars or broadcastable arrays with x, y > 0 and 0 < t < inf."""
+    """P_t(x, y) for scalars or broadcastable arrays with 0 <= x, y < inf and 0 < t < inf.
+
+    At x = 0 or y = 0 it is the continuous extension of the kernel, the
+    value an endpoint quadrature rule on [0, R] asks for.
+    """
     _check_time(t)
-    val = _kernel(m.kernel_order, t, np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64))
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    for p in (x, y):
+        if not np.all((p >= 0.0) & (p < math.inf)):  # also rejects NaN
+            raise InvalidInput("points must be nonnegative and finite")
+    val = _kernel(m.kernel_order, t, x, y)
     return float(val) if val.ndim == 0 else val
 
 
-# Every row and column mu-mass of ``kernel_matrix`` is at most
-# MASS_CAP; the scaling aims a little lower so that one update clears the cap.
+# Every row and column mu-mass of ``kernel_matrix`` is at most MASS_CAP.
+# The cap divides a hot row down to _MASS_TARGET, not to MASS_CAP itself:
+# aimed at the cap, the rounding of m / c and of the matvec left masses up
+# to 0.9999999999990005, above it.
 MASS_CAP = 1.0 - 1e-12
 _MASS_TARGET = 1.0 - 1e-10
-_SCALING_BUDGET = 200
-
-
-def _scale_substochastic(mat: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Scale ``mat`` in place to D P D, 0 < d <= 1, with every mass <= MASS_CAP.
-
-    P is symmetric, so the row masses d_i (P (d w))_i of D P D equal its
-    column masses: one matvec per iteration caps both.  The update
-    d <- min(1, d sqrt(target / mass)) is a scale-down-only symmetric
-    Sinkhorn-Knopp step; it stops as soon as every mass is under the cap.
-    """
-    d = np.ones_like(w)
-    for _ in range(_SCALING_BUDGET):
-        masses = d * (mat @ (d * w))
-        if masses.max() <= MASS_CAP:
-            break
-        d = np.minimum(1.0, d * np.sqrt(_MASS_TARGET / masses))
-    else:
-        raise ScalingNotConverged(
-            f"kernel masses still exceed {MASS_CAP!r} after {_SCALING_BUDGET} scaling steps "
-            f"(worst {masses.max()!r})"
-        )
-    mat *= d[:, None]
-    mat *= d
-    return mat
 
 
 # Row blocks of kernel_matrix hold at most this many candidate pairs.
@@ -188,15 +174,18 @@ def _raw_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
 def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
     """The sub-Markov P_t on the grid nodes, cached on the grid per t.
 
-    The cut matrix of ``_raw_matrix`` is scaled to D P D with 0 < d_i <= 1
-    so that every row mass sum_j P_ij w_j and every column mass
-    sum_i w_i P_ij is at most MASS_CAP = 1 - 1e-12.  The result stays
-    positive and W^1/2 P W^1/2 stays symmetric, so the discrete evolution is
-    sub-Markov both in L-inf (the maximum principle) and in L1(mu).  Where
-    the cells are narrow against sqrt(t) the sampled masses are already near
-    1 and d moves by ~1e-10; where they are wider, the sampled kernel
-    overshoots unit mass and d pulls those rows and columns back under the
-    cap.  The measure must be the grid's, so t alone keys the cache.
+    The cut matrix P of ``_raw_matrix`` has row masses m_i = sum_j P_ij w_j.
+    Where the cells are wide against sqrt(t) the sampled kernel overshoots
+    unit mass, and a row with m_i > MASS_CAP is hot.  One pass caps it:
+    c_i = m_i / _MASS_TARGET on hot rows and 1 elsewhere, and
+    P_ij / max(c_i, c_j).  Since c >= 1, every entry only shrinks; a hot
+    row's mass falls to at most _MASS_TARGET and any other row's stays at
+    most m_i <= MASS_CAP.  P is symmetric and so is the divisor, so the
+    column masses sum_i w_i P_ij are the row masses and are capped too.  The
+    result is positive and symmetric, so the discrete evolution is sub-Markov
+    both in L-inf (the maximum principle) and in L1(mu); a matrix with no hot
+    row is the raw one bit for bit.  The measure must be the grid's, so t
+    alone keys the cache.
     """
     if m.alpha != grid.measure.alpha:
         raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
@@ -204,7 +193,12 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
     t = float(t)
     mat = grid.cache_get(t)
     if mat is None:
-        mat = _scale_substochastic(_raw_matrix(m, grid, t), grid.weights)
+        mat = _raw_matrix(m, grid, t)
+        mass = mat @ grid.weights
+        hot = mass > MASS_CAP
+        if hot.any():
+            c = np.where(hot, mass / _MASS_TARGET, 1.0)
+            mat /= np.maximum(c[:, None], c)
         grid.cache_put(t, mat)
     return mat
 

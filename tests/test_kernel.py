@@ -12,7 +12,6 @@ from besselhardy import (
     Interval,
     MixedGrids,
     SampleSpec,
-    ScalingNotConverged,
     WeightedMeasure,
     gaussian_bound_constants,
     heat_evolve,
@@ -23,7 +22,7 @@ from besselhardy import (
 from besselhardy import kernel as kernel_module
 from besselhardy.bessel import bessel_i_scaled_ratio
 from besselhardy.grid import Grid
-from besselhardy.kernel import MASS_CAP
+from besselhardy.kernel import MASS_CAP, _MASS_TARGET
 
 # rounding is absolute, not relative, among subnormal entries
 TINY = np.finfo(np.float64).tiny
@@ -232,16 +231,18 @@ class TestMatrixAssembly:
             assert np.array_equal(scaled, built[0][1])
 
     def test_assembly_peak_memory(self):
-        # row blocks keep every array but the matrix itself small
+        # row blocks keep every array but the matrix itself small; at 2^-13
+        # rows are hot and the cap builds one divisor of the matrix's size
         m = WeightedMeasure(0.5)
-        grid = grid_of_test14(m)
-        tracemalloc.start()
-        try:
-            mat = kernel_matrix(m, grid, 3.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * mat.nbytes
+        for t in (3.0, 2.0**-13):
+            grid = grid_of_test14(m)
+            tracemalloc.start()
+            try:
+                mat = kernel_matrix(m, grid, t)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 3 * mat.nbytes
 
     def test_matrix_starts_on_a_cache_line(self, m_half):
         # dense matvecs ran about 10% slower on a matrix 16 bytes past a page boundary
@@ -299,12 +300,14 @@ class TestSubMarkov:
         assert_sub_markov(mat, grid.weights)
         assert np.all(mat >= 0.0) and np.all(np.diag(mat) > 0.0)
         assert np.all(mat <= raw)
-
-    def test_unconverged_scaling_raises(self, m_half, monkeypatch):
-        monkeypatch.setattr(kernel_module, "_SCALING_BUDGET", 1)
-        grid = Grid.build(m_half, 60, 8.0, 100.0)
-        with pytest.raises(ScalingNotConverged):
-            kernel_matrix(m_half, grid, 1e-4)
+        # one closed-form pass: rows under the cap are left alone, hot rows
+        # and their columns are divided by max(c_i, c_j)
+        mass = raw @ grid.weights
+        if mass.max() <= MASS_CAP:
+            assert np.array_equal(mat, raw)
+        else:
+            c = np.where(mass > MASS_CAP, mass / _MASS_TARGET, 1.0)
+            assert np.array_equal(mat, raw / np.maximum.outer(c, c))
 
 
 class TestGaussianSandwich:

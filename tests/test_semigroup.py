@@ -344,12 +344,23 @@ class TestPerturbationFormula:
             assert fine.residual < 5.0 * quad_tol
 
     def test_exact_legs_keep_their_values(self, m_half, grid_half):
-        # the Gauss-Legendre legs stay off the power-of-two step lattice:
-        # these are the values from before the lattice existed, bit for bit
+        # the Gauss-Legendre legs stay off the power-of-two step lattice: each
+        # leg takes steps_for(leg) steps of its own size, bit for bit
         v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
         scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
-        rep = perturbation_residual(m_half, v, 0.5, 1.2, 2.0, grid_half, s_steps=6, scheme=scheme)
-        assert (rep.lhs.hex(), rep.rhs.hex()) == ("0x1.ee6cf00fc8d4ep-4", "0x1.ee58c95ec5e5fp-4")
+        t, x, y = 0.5, 1.2, 2.0
+        rep = perturbation_residual(m_half, v, t, x, y, grid_half, s_steps=6, scheme=scheme)
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(6)
+        x = float(grid_half.nodes[grid_half.index_of(x)])
+        col, prev, rhs = GridFunction.point_mass(grid_half, y), 0.0, 0.0
+        for s, w_s in zip(0.5 * t * (gl_nodes + 1.0), 0.5 * t * gl_weights):
+            col = schrodinger_apply(m_half, v, s - prev, col, scheme, n_steps=scheme.steps_for(s - prev))
+            row = heat_kernel(m_half, t - s, x, grid_half.nodes)
+            rhs += w_s * float((row * v(grid_half.nodes) * col.values) @ grid_half.weights)
+            prev = s
+        col = schrodinger_apply(m_half, v, t - prev, col, scheme, n_steps=scheme.steps_for(t - prev))
+        p_xy = heat_kernel(m_half, t, x, float(grid_half.nodes[grid_half.index_of(y)]))
+        assert (rep.lhs, rep.rhs) == (p_xy - float(col.values[grid_half.index_of(x)]), rhs)
 
 
 def parse_line_error(text):
@@ -364,6 +375,9 @@ def parse_line_error(text):
 BAD_CALLS = {
     "heat_kernel time": lambda m, g, f: heat_kernel(m, 0.0, 1.0, 2.0),
     "heat_kernel infinite time": lambda m, g, f: heat_kernel(m, math.inf, 1.0, 2.0),
+    "heat_kernel points": lambda m, g, f: heat_kernel(m, 1.0, -1.0, -2.0),
+    "heat_kernel infinite point": lambda m, g, f: heat_kernel(m, 1.0, np.array([1.0, math.inf]), 2.0),
+    "heat_kernel NaN point": lambda m, g, f: heat_kernel(m, 1.0, 1.0, math.nan),
     "kernel_matrix time": lambda m, g, f: kernel_matrix(m, g, -1.0),
     "mass_residual time": lambda m, g, f: heat_kernel_mass_residual(m, 0.0, 1.0),
     "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),
@@ -373,6 +387,10 @@ BAD_CALLS = {
     "evolve_through steps": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.1], n_steps=0)),
     "step_lattice times": lambda m, g, f: step_lattice([0.2, 0.1]),
     "step_lattice steps_per_unit": lambda m, g, f: step_lattice([0.2], SplittingScheme(steps_per_unit=24.0)),
+    "SplittingScheme kinetic_substeps": lambda m, g, f: SplittingScheme(kinetic_substeps=0),
+    "SplittingScheme fractional substeps": lambda m, g, f: SplittingScheme(kinetic_substeps=1.5),
+    "SplittingScheme steps_per_unit": lambda m, g, f: SplittingScheme(steps_per_unit=math.nan),
+    "SplittingScheme min_steps": lambda m, g, f: SplittingScheme(min_steps=0),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),
     "heat_evolve zero steps": lambda m, g, f: heat_evolve(m, 0.1, f, n_steps=0),
     "heat_evolve fractional steps": lambda m, g, f: heat_evolve(m, 0.1, f, n_steps=2.5),

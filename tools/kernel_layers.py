@@ -11,8 +11,11 @@ It prints:
   ms, best of ``--repeats``, on the test-14 grid (alpha 0.5, x_max 44,
   ratio 300, breakpoints k/8) at n = 320, 900, 1400 and dt = 1e-4, 1e-3,
   1/32, 1; every build runs on a fresh grid, so no cache hit is timed;
-- ``sha256``: the digest of every raw matrix and every scaled one, which
-  ``kernel_matrix`` returns, at those points;
+- ``kernel_matrix_ms``: the same for ``kernel_matrix``, the raw build plus
+  the sub-Markov cap, each on a fresh grid, so the difference of the two is
+  what the cap costs;
+- ``sha256``: the digest of every raw matrix and every scaled (capped) one,
+  which ``kernel_matrix`` returns, at those points;
 - ``kept_pairs``: the pairs i <= j with a nonzero raw entry at those points;
 - ``subnormal_entries``: the subnormal entries of every raw and scaled matrix
   at those points;
@@ -80,16 +83,18 @@ def main() -> None:
     m = WeightedMeasure(0.5)
 
     build_ms: dict = {}
+    matrix_ms: dict = {}
     digests: dict = {}
     kept: dict = {}
     subnormal: dict = {}
     matvec_us: dict = {}
     for n in SIZES:
         for label, dt in STEPS.items():
-            grids = [test14_grid(n) for _ in range(repeats)]
-            build_ms.setdefault(str(n), {})[label] = round(
-                1e3 * best_of(repeats, lambda: kernel_module._raw_matrix(m, grids.pop(), dt)), 2
-            )
+            for timed, build in ((build_ms, kernel_module._raw_matrix), (matrix_ms, kernel_matrix)):
+                grids = [test14_grid(n) for _ in range(repeats)]
+                timed.setdefault(str(n), {})[label] = round(
+                    1e3 * best_of(repeats, lambda: build(m, grids.pop(), dt)), 2
+                )
             grid = test14_grid(n)
             for scaled, build in ((False, kernel_module._raw_matrix), (True, kernel_matrix)):
                 mat = build(m, grid, dt)
@@ -135,6 +140,7 @@ def main() -> None:
                 },
                 "repeats": repeats,
                 "build_ms": build_ms,
+                "kernel_matrix_ms": matrix_ms,
                 "kept_pairs": kept,
                 "subnormal_entries": subnormal,
                 "matvec_us": matvec_us,
