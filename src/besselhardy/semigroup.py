@@ -321,29 +321,37 @@ def perturbation_residual(
 
     Left side: P_t(x,y) - K_t(x,y) with the exact heat kernel and the split
     column.  Right side: int_0^t < P_{t-s}(x, .), V K_s(., y) >_mu ds by
-    Gauss-Legendre in s and grid quadrature in space.  Both routes are
-    numerical; the report carries the kernel scale P_t(x,y) for relative
-    comparisons.
+    2-point Gauss-Legendre on each of ``s_steps`` equal panels of length
+    h = t / s_steps, and grid quadrature in space.  A chain of h-legs
+    carries the column from one panel start to the next and ends at t; each
+    node k h + theta h is one leg of theta h from its panel start.  Every
+    panel shares these three legs, so a call builds three kernel matrices
+    whatever ``s_steps`` is.  The open rule never evaluates at s = t, where
+    P_{t-s}(x, .) is a spike.  Both routes are numerical; the report carries
+    the kernel scale P_t(x,y) for relative comparisons.  x and y must lie
+    in the grid, 0 < x, y <= its last edge.
     """
     _check_time(t)
     _check_count("s_steps", s_steps)
+    for name, p in (("x", x), ("y", y)):
+        if not 0.0 < p <= grid.edges[-1]:  # also rejects NaN
+            raise InvalidInput(f"{name} must lie in the grid (0, {float(grid.edges[-1])!r}], got {float(p)!r}")
     ix = grid.index_of(x)
     x = float(grid.nodes[ix])
-    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(s_steps)
-    s_vals = 0.5 * t * (gl_nodes + 1.0)
-    s_w = 0.5 * t * gl_weights
-    order = np.argsort(s_vals)
-    s_vals = s_vals[order]
-    s_w = s_w[order]
+    h = t / s_steps
+    gl_nodes, gl_weights = np.polynomial.legendre.leggauss(2)
+    thetas = (0.5 * (gl_nodes + 1.0)).tolist()
+    s_w = (0.5 * h * gl_weights).tolist()
 
     v_nodes = np.asarray(potential(grid.nodes), dtype=np.float64)
-    cols = evolve_through(m, potential, GridFunction.point_mass(grid, y), [*s_vals, t], scheme)
+    start = GridFunction.point_mass(grid, y)
     rhs = 0.0
-    for s_val, w_s, col in zip(s_vals, s_w, cols):
-        row = heat_kernel(m, t - s_val, x, grid.nodes)
-        rhs += w_s * float((row * v_nodes * col.values) @ grid.weights)
-    col = next(cols)  # the last leg, from the largest node to t
+    for k in range(s_steps):
+        for theta, w_s in zip(thetas, s_w):
+            col = schrodinger_apply(m, potential, theta * h, start, scheme)
+            row = heat_kernel(m, t - (k + theta) * h, x, grid.nodes)
+            rhs += w_s * float((row * v_nodes * col.values) @ grid.weights)
+        start = schrodinger_apply(m, potential, h, start, scheme)
     p_xy = heat_kernel(m, t, x, float(grid.nodes[grid.index_of(y)]))
-    k_xy = float(col.values[ix])
-    lhs = p_xy - k_xy
+    lhs = p_xy - float(start.values[ix])
     return PerturbationReport(abs(lhs - rhs), lhs, rhs, p_xy)

@@ -34,6 +34,7 @@ from besselhardy import (
     resupport_atom,
     schrodinger_apply,
 )
+from besselhardy import kernel as kernel_module
 from besselhardy.grid import Grid
 from besselhardy.hardy import log_time_grid
 from besselhardy.measure import ball, enlarge, parse_potential
@@ -343,24 +344,41 @@ class TestPerturbationFormula:
             quad_tol = abs(fine.rhs - coarse.rhs) + 2e-3 * coarse.scale
             assert fine.residual < 5.0 * quad_tol
 
-    def test_exact_legs_keep_their_values(self, m_half, grid_half):
-        # the Gauss-Legendre legs stay off the power-of-two step lattice: each
-        # leg takes steps_for(leg) steps of its own size, bit for bit
+    def test_panel_legs_keep_their_values(self, m_half, grid_half):
+        # composite 2-point Gauss-Legendre on equal panels: a chain of h-legs
+        # to each panel start, one theta h leg from there to each node, bit for bit
         v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
         scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
-        t, x, y = 0.5, 1.2, 2.0
-        rep = perturbation_residual(m_half, v, t, x, y, grid_half, s_steps=6, scheme=scheme)
-        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(6)
-        x = float(grid_half.nodes[grid_half.index_of(x)])
-        col, prev, rhs = GridFunction.point_mass(grid_half, y), 0.0, 0.0
-        for s, w_s in zip(0.5 * t * (gl_nodes + 1.0), 0.5 * t * gl_weights):
-            col = schrodinger_apply(m_half, v, s - prev, col, scheme, n_steps=scheme.steps_for(s - prev))
-            row = heat_kernel(m_half, t - s, x, grid_half.nodes)
-            rhs += w_s * float((row * v(grid_half.nodes) * col.values) @ grid_half.weights)
-            prev = s
-        col = schrodinger_apply(m_half, v, t - prev, col, scheme, n_steps=scheme.steps_for(t - prev))
+        t, x, y, panels = 0.5, 1.2, 2.0, 6
+        rep = perturbation_residual(m_half, v, t, x, y, grid_half, s_steps=panels, scheme=scheme)
+        gl_nodes, gl_weights = np.polynomial.legendre.leggauss(2)
+        h = t / panels
+        ix = grid_half.index_of(x)
+        x = float(grid_half.nodes[ix])
+        start, rhs = GridFunction.point_mass(grid_half, y), 0.0
+        for k in range(panels):
+            for theta, w_s in zip((0.5 * (gl_nodes + 1.0)).tolist(), (0.5 * h * gl_weights).tolist()):
+                col = schrodinger_apply(m_half, v, theta * h, start, scheme, n_steps=scheme.steps_for(theta * h))
+                row = heat_kernel(m_half, t - (k + theta) * h, x, grid_half.nodes)
+                rhs += w_s * float((row * v(grid_half.nodes) * col.values) @ grid_half.weights)
+            start = schrodinger_apply(m_half, v, h, start, scheme, n_steps=scheme.steps_for(h))
         p_xy = heat_kernel(m_half, t, x, float(grid_half.nodes[grid_half.index_of(y)]))
-        assert (rep.lhs, rep.rhs) == (p_xy - float(col.values[grid_half.index_of(x)]), rhs)
+        assert (rep.lhs, rep.rhs) == (p_xy - float(start.values[ix]), rhs)
+        assert all(type(f) is float for f in (rep.residual, rep.lhs, rep.rhs, rep.scale))
+
+    @pytest.mark.parametrize("panels", [4, 10, 20])
+    def test_three_kernel_builds_for_any_panel_count(self, m_half, monkeypatch, panels):
+        calls, raw_matrix = [], kernel_module._raw_matrix
+
+        def counted(*args):
+            calls.append(args)
+            return raw_matrix(*args)
+
+        monkeypatch.setattr(kernel_module, "_raw_matrix", counted)
+        grid = Grid.build(m_half, 120, 24.0, 80.0)
+        v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 30.0, 0.4)))
+        perturbation_residual(m_half, v, 0.5, 1.2, 2.0, grid, s_steps=panels)
+        assert len(calls) == 3
 
 
 def parse_line_error(text):
@@ -400,6 +418,12 @@ BAD_CALLS = {
     "feynman_kac time": lambda m, g, f: feynman_kac(m, Potential.zero(), math.nan, 1.0, np.ones_like, 4, 4, 0),
     "besq_terminal_samples time": lambda m, g, f: besq_terminal_samples(m, 0.0, 1.0, 4, 4, 0),
     "perturbation_residual s_steps": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1.0, 1.5, g, s_steps=0),
+    "perturbation_residual NaN x": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, math.nan, 1.5, g),
+    "perturbation_residual far x": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1e9, 1.5, g),
+    "perturbation_residual negative x": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, -1.0, 1.5, g),
+    "perturbation_residual zero x": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 0.0, 1.5, g),
+    "perturbation_residual infinite y": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1.0, math.inf, g),
+    "perturbation_residual negative y": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1.0, -1.5, g),
     "Interval endpoints": lambda m, g, f: Interval(2.0, 1.0),
     "ball radius": lambda m, g, f: ball(1.0, 0.0),
     "enlarge factor": lambda m, g, f: enlarge(Interval(0.0, 1.0), 0.5),

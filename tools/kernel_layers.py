@@ -29,6 +29,11 @@ It prints:
   evaluates at n = 900, dt = 1e-3, recorded from that build, in the calls
   ``_raw_matrix`` makes, best of ``--repeats``; ``bessel_evals_kernel_args``
   is their count;
+- ``perturbation_ms`` and ``perturbation_builds``: one
+  ``perturbation_residual`` of the test-09 kind (scheme 16/2, t = 0.5,
+  x = 1.2, y = 2.0, a three-piece V) at ``s_steps`` 10 and 20 on the n = 900
+  test-14 grid, in ms, best of ``--repeats``, and the ``_raw_matrix`` builds
+  it makes; every call runs on a fresh grid, so each build is cold;
 - ``src_lines``: the line count of ``src/besselhardy/*.py``.
 
 Running it at two commits and comparing the ``sha256`` entries checks that the
@@ -51,7 +56,14 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from besselhardy import WeightedMeasure, bessel_i_scaled_ratio, kernel_matrix  # noqa: E402
+from besselhardy import (  # noqa: E402
+    Potential,
+    SplittingScheme,
+    WeightedMeasure,
+    bessel_i_scaled_ratio,
+    kernel_matrix,
+    perturbation_residual,
+)
 from besselhardy import kernel as kernel_module  # noqa: E402
 from besselhardy.grid import Grid  # noqa: E402
 
@@ -61,6 +73,7 @@ BESSEL_EVALS = 1_000_000
 MATVEC_SIZES = (900, 1400)
 MATVEC_STEPS = ("1e-3", "1/32")
 MATVECS = 200
+PANELS = (10, 20)
 
 
 def test14_grid(n: int) -> Grid:
@@ -129,6 +142,29 @@ def main() -> None:
     kernel_args = sum(b.size for b in blocks)
     kernel_args_s = best_of(repeats, lambda: [bessel_i_scaled_ratio(m.kernel_order, b) for b in blocks])
 
+    perturbation_ms: dict = {}
+    perturbation_builds: dict = {}
+    v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
+    scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
+    raw_matrix = kernel_module._raw_matrix
+    for panels in PANELS:
+        grids = [test14_grid(900) for _ in range(repeats)]
+        perturbation_ms[str(panels)] = round(
+            1e3 * best_of(repeats, lambda: perturbation_residual(m, v, 0.5, 1.2, 2.0, grids.pop(), panels, scheme)), 1
+        )
+        builds = []
+
+        def counted(*args):
+            builds.append(args)
+            return raw_matrix(*args)
+
+        kernel_module._raw_matrix = counted
+        try:
+            perturbation_residual(m, v, 0.5, 1.2, 2.0, test14_grid(900), panels, scheme)
+        finally:
+            kernel_module._raw_matrix = raw_matrix
+        perturbation_builds[str(panels)] = len(builds)
+
     src_lines = sum(len(p.read_text().splitlines()) for p in sorted((ROOT / "src" / "besselhardy").glob("*.py")))
     print(
         json.dumps(
@@ -147,6 +183,8 @@ def main() -> None:
                 "bessel_evals_per_s": round(BESSEL_EVALS / bessel_s),
                 "bessel_evals_per_s_kernel_args": round(kernel_args / kernel_args_s),
                 "bessel_evals_kernel_args": kernel_args,
+                "perturbation_ms": perturbation_ms,
+                "perturbation_builds": perturbation_builds,
                 "src_lines": src_lines,
                 "sha256": digests,
             },
