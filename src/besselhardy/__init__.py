@@ -72,7 +72,6 @@ from .section import (
     ProperSection,
     brute_force_section,
     build_section,
-    dyadic_parent,
     s_functional,
     validate_section,
 )

@@ -23,11 +23,16 @@ from scipy.integrate import quad
 from .errors import BalanceUnreachable, InvalidInput
 from .grid import Grid, GridFunction
 from .hardy import Bump
-from .kernel import heat_kernel
+from .kernel import _check_count, heat_kernel
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
 from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through
 
+_BALANCE_TOL = 1e-10  # find_balanced_J bisects until |balance - 1| <= this,
+_BALANCE_ITER = 200  # or for this many steps
+_RAMP_FRAC = 0.25  # each ramp of a SmoothBump spans this fraction of its support
+_WEAK_QUAD_TOL = 1e-11  # absolute and relative quad tolerance of phi_equation_residual
+_K_PROBES = 48  # check_condition_K takes its sup over at most this many nodes per interval
 
 def balance_functional(m: WeightedMeasure, potential: Potential, interval: Interval) -> float:
     """|J|^2 / mu(J) * int_J V dmu with the plain set diameter of J."""
@@ -92,13 +97,7 @@ class SuperharmonicProfile:
         return GridFunction(grid, self.phi(grid.nodes))
 
 
-def find_balanced_J(
-    m: WeightedMeasure,
-    potential: Potential,
-    host: DyadicInterval,
-    tol: float = 1e-10,
-    max_iter: int = 200,
-) -> SuperharmonicProfile:
+def find_balanced_J(m: WeightedMeasure, potential: Potential, host: DyadicInterval) -> SuperharmonicProfile:
     """Bisect along the expanding family from 2I to 2(I^d) until balance = 1.
 
     The family interpolates endpoints linearly, so it is nested; the balance
@@ -112,7 +111,7 @@ def find_balanced_J(
     outer = enlarge(host.parent().to_interval(), 2.0)
     g_inner = balance_functional(m, potential, inner)
     g_outer = balance_functional(m, potential, outer)
-    if g_inner > 1.0 + tol:
+    if g_inner > 1.0 + _BALANCE_TOL:
         raise BalanceUnreachable(f"2I already exceeds balance: {g_inner}")
     if g_outer <= 1.0:
         raise BalanceUnreachable(
@@ -127,19 +126,19 @@ def find_balanced_J(
     lo_s, hi_s = 0.0, 1.0
     best = inner
     gb = g_inner
-    for _ in range(max_iter):
+    for _ in range(_BALANCE_ITER):
         mid = 0.5 * (lo_s + hi_s)
         j = at(mid)
         g = balance_functional(m, potential, j)
         if abs(g - 1.0) < abs(gb - 1.0):
             best, gb = j, g
-        if abs(g - 1.0) <= tol:
+        if abs(g - 1.0) <= _BALANCE_TOL:
             break
         if g > 1.0:
             hi_s = mid
         else:
             lo_s = mid
-    if abs(gb - 1.0) > tol and abs(g_inner - 1.0) <= tol:
+    if abs(gb - 1.0) > _BALANCE_TOL and abs(g_inner - 1.0) <= _BALANCE_TOL:
         best, gb = inner, g_inner
     c_j = m.mu(best) / best.length**2
     return SuperharmonicProfile(m, potential, host, best, c_j, abs(gb - 1.0))
@@ -149,9 +148,9 @@ def find_balanced_J(
 # weak identity
 
 
-def SmoothBump(lo: float, hi: float, ramp_frac: float = 0.25) -> Bump:
+def SmoothBump(lo: float, hi: float) -> Bump:
     """Cubic smoothstep bump: 0 outside (lo, hi), plateau 1 in the middle."""
-    w = ramp_frac * (hi - lo)
+    w = _RAMP_FRAC * (hi - lo)
     return Bump(up=(lo, w), down=(hi - w, w))
 
 
@@ -164,7 +163,6 @@ def phi_equation_residual(
     profile: SuperharmonicProfile,
     test_fn,
     include_boundary_term: bool = True,
-    quad_tol: float = 1e-11,
 ) -> float:
     """Residual of the weak identity
 
@@ -185,7 +183,7 @@ def phi_equation_residual(
         return test_fn.derivative(x) * profile.phi_prime(x) * x**m.alpha
 
     term1, _ = quad(
-        grad_integrand, lo, hi, points=pts or None, epsabs=quad_tol, epsrel=quad_tol, limit=300
+        grad_integrand, lo, hi, points=pts or None, epsabs=_WEAK_QUAD_TOL, epsrel=_WEAK_QUAD_TOL, limit=300
     )
 
     vlo, vhi = max(lo, j.a), min(hi, j.b)
@@ -197,7 +195,7 @@ def phi_equation_residual(
             return test_fn(x) * profile.potential(x) * x**m.alpha
 
         term2, _ = quad(
-            v_integrand, vlo, vhi, points=vpts or None, epsabs=quad_tol, epsrel=quad_tol, limit=300
+            v_integrand, vlo, vhi, points=vpts or None, epsabs=_WEAK_QUAD_TOL, epsrel=_WEAK_QUAD_TOL, limit=300
         )
 
     boundary = test_fn(0.0) * profile.c_j / 2.0 if include_boundary_term else 0.0
@@ -247,9 +245,11 @@ def check_superharmonic(
     """
     iz = grid.index_of(z)
     z = float(grid.nodes[iz])
+    requested = np.sort(np.asarray(u_grid, dtype=np.float64))
+    if requested.size == 0:
+        raise InvalidInput("need at least one time u")
     phi_gf = profile.phi_gridfunction(grid)
     phi_z = float(profile.phi(z))
-    requested = np.sort(np.asarray(u_grid, dtype=np.float64))
     us = np.empty(requested.size)
     thetas = np.empty(us.size)
     bars = np.empty(us.size)
@@ -275,8 +275,7 @@ def _tail_bound(
 ) -> float:
     """Crude Gaussian upper bound on int_{x > x_max} P_u(z, x) phi(x) dmu."""
     c_up, c_const = 4.8, 4.0
-    p = 1.0 + m.alpha
-    ball = ((z + math.sqrt(u)) ** p - max(0.0, z - math.sqrt(u)) ** p) / p
+    ball = m.ball_mass(z, math.sqrt(u))
 
     def integrand(x):
         return math.exp(-((x - z) ** 2) / (c_up * u)) * profile.phi(x) * x**m.alpha
@@ -307,11 +306,14 @@ class DecayFitReport:
         return all(e.passed for e in self.entries)
 
 
-def _pick_intervals(section: ProperSection, count: int = 3) -> list[DyadicInterval]:
-    ivs = list(section.intervals)
-    if len(ivs) <= count:
+def _pick_intervals(section: ProperSection, intervals: list[DyadicInterval] | None) -> list[DyadicInterval]:
+    """``intervals`` when given, else up to three spread over the section; never none."""
+    ivs = list(section.intervals if intervals is None else intervals)
+    if not ivs:
+        raise InvalidInput("no intervals to check")
+    if intervals is not None or len(ivs) <= 3:
         return ivs
-    idx = np.linspace(0, len(ivs) - 1, count).round().astype(int)
+    idx = np.linspace(0, len(ivs) - 1, 3).round().astype(int)
     return [ivs[i] for i in sorted(set(idx.tolist()))]
 
 
@@ -330,7 +332,8 @@ def check_condition_D(
     is slope <= -(1-alpha)/2 + 0.1.  Also reports the implied constants of
     the weak polynomial form M(n) <= C n^{-1-eps}.
     """
-    chosen = intervals if intervals is not None else _pick_intervals(section)
+    _check_count("n_max", n_max, least=2)  # the log-log fit needs two points
+    chosen = _pick_intervals(section, intervals)
     entries = []
     for d in chosen:
         base = d.to_interval()
@@ -371,7 +374,6 @@ def check_condition_K(
     intervals: list[DyadicInterval] | None = None,
     t_count: int = 6,
     s_nodes: int = 24,
-    max_probes: int = 48,
 ) -> DecayFitReport:
     """Small-time accumulated interaction:
 
@@ -382,7 +384,9 @@ def check_condition_K(
     delta >= 1/2 - 0.1.  The s-integral is evaluated in the variable sqrt(s),
     which absorbs the integrable s^{-(1-alpha)/2} blow-up near s = 0.
     """
-    chosen = intervals if intervals is not None else _pick_intervals(section)
+    _check_count("t_count", t_count, least=3)  # the small-t half of the fit needs two points
+    _check_count("s_nodes", s_nodes)
+    chosen = _pick_intervals(section, intervals)
     beta = section.beta
     gl_u, gl_w = np.polynomial.legendre.leggauss(s_nodes)
     entries = []
@@ -396,8 +400,8 @@ def check_condition_K(
             grid.nodes <= star3.b + 2.0 * base.length
         )
         probes = grid.nodes[near]
-        if probes.size > max_probes:
-            probes = probes[np.linspace(0, probes.size - 1, max_probes).round().astype(int)]
+        if probes.size > _K_PROBES:
+            probes = probes[np.linspace(0, probes.size - 1, _K_PROBES).round().astype(int)]
         t0 = d.length**2
         ts = t0 * 2.0 ** (-np.arange(t_count, dtype=float))
         gs = np.empty(ts.size)

@@ -9,6 +9,7 @@ section intervals integrate exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
@@ -34,8 +35,8 @@ class Grid:
         edges = np.asarray(edges, dtype=np.float64)
         if edges.ndim != 1 or edges.size < 3:
             raise InvalidInput("need at least two cells")
-        if edges[0] < 0.0 or np.any(np.diff(edges) <= 0.0):
-            raise InvalidInput("edges must start at >= 0 and increase strictly")
+        if not (edges[0] >= 0.0 and np.all(np.diff(edges) > 0.0) and edges[-1] < math.inf):  # also rejects NaN
+            raise InvalidInput("edges must be finite, start at >= 0 and increase strictly")
         self.measure = measure
         self.edges = edges
         self.nodes = 0.5 * (edges[:-1] + edges[1:])
@@ -53,8 +54,8 @@ class Grid:
         ratio: float = 100.0,
         breakpoints: Iterable[float] = (),
     ) -> "Grid":
-        if n < 2 or x_max <= 0.0 or ratio < 1.0:
-            raise InvalidInput("need n >= 2, x_max > 0, ratio >= 1")
+        if not (isinstance(n, numbers.Integral) and n >= 2 and 0.0 < x_max < math.inf and 1.0 <= ratio < math.inf):
+            raise InvalidInput(f"need an integer n >= 2, finite x_max > 0 and ratio >= 1, got {(n, x_max, ratio)!r}")
         i = np.arange(n + 1, dtype=np.float64) / n
         edges = x_max * i
         if ratio > 1.0:
@@ -88,7 +89,9 @@ class Grid:
         return float(self.edges[-1])
 
     def index_of(self, x: float) -> int:
-        """Index of the cell whose node is nearest to x."""
+        """Index of the cell whose node is nearest to x, for 0 < x <= x_max."""
+        if not 0.0 < x <= self.edges[-1]:  # also rejects NaN
+            raise InvalidInput(f"point must lie in the grid (0, {self.x_max!r}], got {float(x)!r}")
         j = int(np.clip(np.searchsorted(self.edges, x) - 1, 0, len(self) - 1))
         if j + 1 < len(self) and abs(self.nodes[j + 1] - x) < abs(self.nodes[j] - x):
             return j + 1
@@ -175,7 +178,7 @@ class GridFunction:
 
     @classmethod
     def point_mass(cls, grid: Grid, x: float) -> "GridFunction":
-        """Discrete unit point mass: indicator of one cell over its mu-mass."""
+        """Discrete unit point mass: indicator of one cell over its mu-mass, for 0 < x <= x_max."""
         j = grid.index_of(x)
         values = np.zeros(len(grid))
         values[j] = 1.0 / grid.weights[j]
@@ -190,9 +193,6 @@ class GridFunction:
 
     def l1(self) -> float:
         return float(self.grid.weights @ np.abs(self.values))
-
-    def l2(self) -> float:
-        return math.sqrt(float(self.grid.weights @ self.values**2))
 
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))

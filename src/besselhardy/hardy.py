@@ -27,6 +27,7 @@ from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import ProperSection
 from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through
 
+_RAMP_FRAC = 0.9  # a shared partition_of_unity ramp is _RAMP_FRAC (beta - 1) min(|I|, |J|) wide
 CANCELLATION_REL_TOL = 1e-10
 
 
@@ -221,7 +222,7 @@ class PartitionBump(Bump):
 
     Its ramps live on the overlap with the neighbouring stars, so the family
     sums to 1 on the window interior.  A ramp of width 2d has slope at most
-    3/(4d), so the family satisfies sup|phi'| <= 3 C0 / (2 ramp_frac (beta-1))
+    3/(4d), so the family satisfies sup|phi'| <= 3 C0 / (2 _RAMP_FRAC (beta-1))
     / |I| -- the price of keeping the support inside I* with beta below 2^(1/3).
     """
 
@@ -233,7 +234,7 @@ def _centered_ramp(point: float, half_width: float) -> tuple[float, float]:
     return (point - half_width, 2.0 * half_width)
 
 
-def partition_of_unity(section: ProperSection, ramp_frac: float = 0.9) -> list[PartitionBump]:
+def partition_of_unity(section: ProperSection) -> list[PartitionBump]:
     """Bumps subordinate to the section stars that sum to 1 on the window.
 
     Matching ramps on each shared boundary make phi_I + phi_J == 1 there up
@@ -249,13 +250,13 @@ def partition_of_unity(section: ProperSection, ramp_frac: float = 0.9) -> list[P
         star = enlarge(host, beta)
         ramp_lo = None
         if j > 0:
-            delta = 0.5 * ramp_frac * (beta - 1.0) * min(ivs[j - 1].length, d.length)
+            delta = 0.5 * _RAMP_FRAC * (beta - 1.0) * min(ivs[j - 1].length, d.length)
             ramp_lo = _centered_ramp(host.a, delta)
         elif star.a > 0.0 and host.a > 0.0:
             delta = (host.a - star.a) / 3.0
             ramp_lo = _centered_ramp(star.a + 2.0 * delta, delta)
         if j + 1 < len(ivs):
-            delta = 0.5 * ramp_frac * (beta - 1.0) * min(ivs[j + 1].length, d.length)
+            delta = 0.5 * _RAMP_FRAC * (beta - 1.0) * min(ivs[j + 1].length, d.length)
             ramp_hi = _centered_ramp(host.b, delta)
         else:
             delta = (star.b - host.b) / 3.0

@@ -35,6 +35,7 @@ pass and caches it on the grid; it is the one matrix the evolution uses.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,18 +55,27 @@ def _check_time(t, after: float = 0.0) -> None:
         raise InvalidInput(f"times must be nondecreasing, got {float(t)!r} after {float(after)!r}")
 
 
-def _kernel(nu: float, t: float, x, y):
-    """P_t(x, y) on broadcastable float arrays: the one linear-form formula.
+def _check_count(name: str, n, least: int = 1) -> None:
+    """Raise InvalidInput unless n is an integer >= ``least``."""
+    if not (isinstance(n, numbers.Integral) and n >= least):
+        raise InvalidInput(f"{name} must be at least {least} and an integer, got {n!r}")
 
-    In arrays, pairs whose Gaussian factor g is 0.0 get +0.0 with no Bessel
-    evaluation; a NaN g counts as nonzero, so NaN inputs propagate.
+
+def _kernel(nu: float, t: float, x, y):
+    """P_t(x, y), the one formula, on one pair of floats or on broadcastable float arrays.
+
+    One pair stays in plain Python floats with the scalar Bessel kernel: a
+    ``quad`` integrand calls it one point at a time, and the numpy path cost
+    it about 5x.  In arrays, pairs whose Gaussian factor g is 0.0 get +0.0
+    with no Bessel evaluation; a NaN g counts as nonzero, so NaN inputs
+    propagate.
     """
+    pref = (2.0 * t) ** (-1.0 - nu)
+    if isinstance(x, float) and isinstance(y, float):
+        return pref * math.exp(-((x - y) ** 2) / (4.0 * t)) * _ive_ratio_scalar(nu, x * y / (2.0 * t))
     x, y = np.broadcast_arrays(x, y)
     d = x - y
-    pref = (2.0 * t) ** (-1.0 - nu)
     g = np.exp(-(d * d) * (0.25 / t))
-    if g.ndim == 0:  # one pair: the scalar Bessel path, where a skip saves microseconds
-        return pref * g * bessel_i_scaled_ratio(nu, x * y / (2.0 * t))
     live = g != 0.0
     out = np.zeros_like(g)
     out[live] = pref * g[live] * bessel_i_scaled_ratio(nu, x[live] * y[live] / (2.0 * t))
@@ -92,8 +102,9 @@ def heat_kernel(m: WeightedMeasure, t: float, x, y):
     for p in (x, y):
         if not np.all((p >= 0.0) & (p < math.inf)):  # also rejects NaN
             raise InvalidInput("points must be nonnegative and finite")
-    val = _kernel(m.kernel_order, t, x, y)
-    return float(val) if val.ndim == 0 else val
+    if x.ndim == y.ndim == 0:
+        return _kernel(m.kernel_order, float(t), float(x), float(y))
+    return _kernel(m.kernel_order, t, x, y)
 
 
 # Every row and column mu-mass of ``kernel_matrix`` is at most MASS_CAP.
@@ -106,6 +117,7 @@ _MASS_TARGET = 1.0 - 1e-10
 
 # Row blocks of kernel_matrix hold at most this many candidate pairs.
 _BLOCK_PAIRS = 1 << 16
+_MASS_QUAD_LIMIT = 250  # subinterval budget of the quad in heat_kernel_mass_residual
 
 
 def _band_exponent(nu: float, t: float, n: int, max_weight: float) -> float:
@@ -217,26 +229,21 @@ def heat_kernel_mass_residual(
     t: float,
     y: float,
     quad_tolerance: float = 1e-10,
-    limit: int = 250,
 ) -> MassResidualReport:
-    """|int P_t(., y) dmu - 1| by adaptive weighted quadrature.
+    """|int P_t(., y) dmu - 1| by adaptive weighted quadrature, for 0 <= y < inf.
 
     The x^alpha endpoint weight is handled by an algebraic-weight rule on
     (0, R); R truncates where the Gaussian factor is below 1e-16 of the peak.
     """
     _check_time(t)
+    if not 0.0 <= y < math.inf:  # also rejects NaN
+        raise InvalidInput(f"point must be nonnegative and finite, got {float(y)!r}")
     if quad_tolerance <= 0.0:
         raise InvalidInput("tolerance must be positive")
-    nu = m.kernel_order
-    pref = (2.0 * t) ** (-1.0 - nu)
+    nu, t, y = m.kernel_order, float(t), float(y)
 
-    # The integrand stays scalar on purpose: quad calls it one point at a
-    # time, and routing those points through the numpy core ``_kernel`` made
-    # the CLI's six-point check about 3.7x slower and moved its residuals at
-    # rounding level.
     def integrand(x: float) -> float:
-        z = x * y / (2.0 * t)
-        return pref * math.exp(-((x - y) ** 2) / (4.0 * t)) * _ive_ratio_scalar(nu, z)
+        return _kernel(nu, t, x, y)
 
     radius = y + math.sqrt(4.0 * t * (37.0 + max(0.0, math.log1p(y / math.sqrt(t)))))
     value, abserr, info, *rest = quad(
@@ -247,7 +254,7 @@ def heat_kernel_mass_residual(
         wvar=(m.alpha, 0.0),
         epsabs=0.1 * quad_tolerance,
         epsrel=0.1 * quad_tolerance,
-        limit=limit,
+        limit=_MASS_QUAD_LIMIT,
         full_output=True,
     )
     converged = not rest and abserr < quad_tolerance
@@ -263,6 +270,11 @@ class SampleSpec:
     t_range: tuple[float, float] = (1e-3, 100.0)
     n_samples: int = 10_000
     seed: int = 0
+
+    def __post_init__(self):
+        _check_count("n_samples", self.n_samples)
+        if not all(0.0 < lo <= hi < math.inf for lo, hi in (self.x_range, self.y_range, self.t_range)):  # and NaN
+            raise InvalidInput(f"sampling ranges need 0 < lo <= hi < inf, got {self!r}")
 
 
 @dataclass

@@ -66,9 +66,6 @@ class Interval:
     def length_by(self, convention: LengthConvention) -> float:
         return self.nominal_length if convention is LengthConvention.BALL else self.length
 
-    def contains(self, x: float) -> bool:
-        return self.a <= x <= self.b
-
 
 def ball(x: float, r: float) -> Interval:
     """B(x, r) intersected with (0, inf); keeps the untruncated radius."""
@@ -199,10 +196,6 @@ class Potential:
                 yield (a, b, v, 0.0)
         if self.power_coeff > 0.0:
             yield (0.0, math.inf, self.power_coeff, -self.power_exponent)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.power_coeff == 0.0 and all(v == 0.0 for _, _, v in self.pieces)
 
     def __call__(self, x):
         arr = np.asarray(x, dtype=np.float64)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from .errors import DegeneratePotential, InvalidInput
 from .measure import Interval, LengthConvention, Potential, WeightedMeasure, enlarge
 
+_MAX_SCALE_UP = 400  # build_section climbs at most this many doublings above the window
+_MIN_SCALE = -80  # and descends to scale 2^_MIN_SCALE at the finest
 
 @dataclass(frozen=True, order=True)
 class DyadicInterval:
@@ -63,10 +65,6 @@ class DyadicInterval:
         return f"left {self.n}" if self.is_left else f"std {self.k} {self.n}"
 
 
-def dyadic_parent(interval: DyadicInterval) -> DyadicInterval:
-    return interval.parent()
-
-
 def s_functional(
     m: WeightedMeasure,
     potential: Potential,
@@ -106,30 +104,12 @@ class ProperSection:
         return head + "".join(str(d) + "\n" for d in self.intervals)
 
 
-def section_from_text(text: str) -> list[DyadicInterval]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "left" and len(fields) == 2:
-            out.append(DyadicInterval(int(fields[1]), 0))
-        elif fields[0] == "std" and len(fields) == 3:
-            out.append(DyadicInterval(int(fields[2]), int(fields[1])))
-        else:
-            raise InvalidInput(f"bad section line: {raw!r}")
-    return out
-
-
 def build_section(
     m: WeightedMeasure,
     potential: Potential,
     window: Interval,
     convention: LengthConvention = LengthConvention.BALL,
     beta: float = 1.05,
-    max_scale_up: int = 400,
-    min_scale: int = -80,
 ) -> ProperSection:
     """Collect the maximal dyadic intervals with F <= 1 that meet the window.
 
@@ -147,9 +127,9 @@ def build_section(
     while s_functional(m, potential, root, convention) <= 1.0:
         root = root.parent()
         climbs += 1
-        if climbs > max_scale_up:
+        if climbs > _MAX_SCALE_UP:
             raise DegeneratePotential(
-                f"F stayed <= 1 for {max_scale_up} doublings above the window"
+                f"F stayed <= 1 for {_MAX_SCALE_UP} doublings above the window"
             )
 
     selected: list[DyadicInterval] = []
@@ -157,9 +137,9 @@ def build_section(
     while stack:
         node = stack.pop()
         for child in node.children():
-            if child.n < min_scale:
+            if child.n < _MIN_SCALE:
                 raise DegeneratePotential(
-                    f"descent passed scale 2^{min_scale} without stopping"
+                    f"descent passed scale 2^{_MIN_SCALE} without stopping"
                 )
             if child.a >= window.b or child.b <= window.a:
                 continue
@@ -180,7 +160,6 @@ def build_section(
 class SectionValidationReport:
     disjoint_ok: bool = True
     coverage_ok: bool = True
-    neighbor_ok: bool = True
     stopping_ok: bool | None = None
     beta_admissible: bool = True
     c0_observed: float = 1.0
@@ -196,7 +175,6 @@ class SectionValidationReport:
         return (
             self.disjoint_ok
             and self.coverage_ok
-            and self.neighbor_ok
             and stopping
             and self.beta_admissible
         )

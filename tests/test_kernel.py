@@ -76,6 +76,8 @@ class TestPointwise:
             a = heat_kernel(m, t, x, y)
             b = heat_kernel(m, t, y, x)
             assert a == pytest.approx(b, rel=1e-12)
+            # one pair takes the float branch of _kernel, an array the numpy one
+            assert a == pytest.approx(heat_kernel(m, t, np.array([x]), y)[0], rel=1e-12)
             if (x - y) ** 2 / (4.0 * t) < 700.0:  # beyond this float64 underflows
                 assert a > 0.0
 

@@ -15,14 +15,19 @@ from besselhardy import (
     InvalidInput,
     Potential,
     QuadratureBudgetExceeded,
+    SampleSpec,
     SplittingScheme,
     WeightedMeasure,
     besq_terminal_samples,
     bessel_i_scaled_ratio,
     build_section,
+    check_condition_D,
+    check_condition_K,
+    check_superharmonic,
     evolve_through,
     feynman_kac,
     find_balanced_J,
+    gaussian_bound_constants,
     heat_evolve,
     heat_kernel,
     heat_kernel_mass_residual,
@@ -38,7 +43,7 @@ from besselhardy import kernel as kernel_module
 from besselhardy.grid import Grid
 from besselhardy.hardy import log_time_grid
 from besselhardy.measure import ball, enlarge, parse_potential
-from besselhardy.section import DyadicInterval, section_from_text
+from besselhardy.section import DyadicInterval
 from besselhardy.semigroup import step_lattice
 from conftest import fit_slope
 
@@ -389,6 +394,17 @@ def parse_line_error(text):
         raise exc.__cause__
 
 
+V1 = Potential.constant(1.0)
+
+
+def v1_section(m):
+    return build_section(m, V1, Interval(0.0, 4.0))
+
+
+def v1_profile(m):
+    return find_balanced_J(m, V1, v1_section(m).intervals[1])
+
+
 # every argument check of the library's entry points, one call each
 BAD_CALLS = {
     "heat_kernel time": lambda m, g, f: heat_kernel(m, 0.0, 1.0, 2.0),
@@ -399,6 +415,11 @@ BAD_CALLS = {
     "kernel_matrix time": lambda m, g, f: kernel_matrix(m, g, -1.0),
     "mass_residual time": lambda m, g, f: heat_kernel_mass_residual(m, 0.0, 1.0),
     "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),
+    "mass_residual negative y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, -1.0),
+    "mass_residual NaN y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, math.nan),
+    "mass_residual infinite y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, math.inf),
+    "SampleSpec n_samples": lambda m, g, f: gaussian_bound_constants(m, SampleSpec(n_samples=0)),
+    "SampleSpec range": lambda m, g, f: gaussian_bound_constants(m, SampleSpec(x_range=(0.0, 20.0))),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
     "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
     "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
@@ -444,19 +465,38 @@ BAD_CALLS = {
         make_local_atom(g, Interval(1.0, 2.0)), Interval(1.0, 2.0), None
     ),
     "DyadicInterval k": lambda m, g, f: DyadicInterval(0, -1),
-    "section_from_text line": lambda m, g, f: section_from_text("bogus line"),
     "build_section alpha": lambda m, g, f: build_section(
         WeightedMeasure(1.5), Potential.constant(1.0), Interval(0.0, 4.0)
     ),
     "Grid cells": lambda m, g, f: Grid(m, [0.0, 1.0]),
     "Grid edges": lambda m, g, f: Grid(m, [0.0, 2.0, 1.0]),
     "Grid.build size": lambda m, g, f: Grid.build(m, 1, 1.0),
+    "Grid NaN edge": lambda m, g, f: Grid(m, [0.0, 1.0, math.nan]),
+    "Grid infinite edge": lambda m, g, f: Grid(m, [0.0, 1.0, math.inf]),
+    "Grid.build NaN x_max": lambda m, g, f: Grid.build(m, 10, math.nan),
+    "Grid.build infinite x_max": lambda m, g, f: Grid.build(m, 10, math.inf),
+    "Grid.build NaN ratio": lambda m, g, f: Grid.build(m, 10, 8.0, math.nan),
+    "Grid.build fractional n": lambda m, g, f: Grid.build(m, 2.5, 8.0),
     "GridFunction shape": lambda m, g, f: GridFunction(g, np.ones(3)),
+    "point_mass NaN point": lambda m, g, f: GridFunction.point_mass(g, math.nan),
     "bessel order": lambda m, g, f: bessel_i_scaled_ratio(-2.0, 1.0),
     "bessel argument": lambda m, g, f: bessel_i_scaled_ratio(0.5, -1.0),
     "find_balanced_J alpha": lambda m, g, f: find_balanced_J(
         WeightedMeasure(1.5), Potential.constant(1.0), DyadicInterval(0, 1)
     ),
+    "check_superharmonic NaN z": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), math.nan, [0.1], g),
+    "check_superharmonic no times": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [], g),
+    "check_condition_D centre past the grid": lambda m, g, f: check_condition_D(
+        m, V1, v1_section(m), g, intervals=[DyadicInterval(4, 1)]
+    ),
+    "check_condition_D no intervals": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, intervals=[]),
+    "check_condition_D zero n_max": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, n_max=0),
+    "check_condition_D negative n_max": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, n_max=-1),
+    "check_condition_D one-point fit": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, n_max=1),
+    "check_condition_K no times": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=0),
+    "check_condition_K one-point fit": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=2),
+    "check_condition_K s_nodes": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, s_nodes=0),
+    "check_condition_K no intervals": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, intervals=[]),
 }
 
 
