@@ -383,6 +383,8 @@ def check_condition_K(
     (rho(0,I) <= 2|I|) must reach delta >= (1-alpha)/2 - 0.1, others
     delta >= 1/2 - 0.1.  The s-integral is evaluated in the variable sqrt(s),
     which absorbs the integrable s^{-(1-alpha)/2} blow-up near s = 0.
+    An interval whose I*** holds no grid node raises InvalidInput; one where
+    V vanishes on I***, so G = 0, passes as vacuous.
     """
     _check_count("t_count", t_count, least=3)  # the small-t half of the fit needs two points
     _check_count("s_nodes", s_nodes)
@@ -395,6 +397,8 @@ def check_condition_K(
         base = d.to_interval()
         star3 = enlarge(base, beta**3)
         mask = (grid.nodes >= star3.a) & (grid.nodes <= star3.b)
+        if not mask.any():  # G would be 0 and pass like a zero potential
+            raise InvalidInput(f"interval {d}: I*** = [{star3.a!r}, {star3.b!r}] holds no grid node")
         weight_vec = np.where(mask, v_nodes, 0.0) * grid.weights
         near = (grid.nodes >= star3.a - 2.0 * base.length) & (
             grid.nodes <= star3.b + 2.0 * base.length

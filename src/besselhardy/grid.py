@@ -20,6 +20,8 @@ from .errors import InvalidInput, MixedGrids
 from .measure import Interval, WeightedMeasure
 
 # A grid keeps this many kernel matrices, least recently used first out.
+# Each is a kernel.BandMatrix: at n = 900 and dt <= 2^-5 it holds 0.2-0.45
+# of the n^2 8 bytes of the dense matrix.
 _CACHE_ENTRIES = 16
 
 

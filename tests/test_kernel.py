@@ -10,6 +10,7 @@ from scipy.integrate import quad
 from besselhardy import (
     GridFunction,
     Interval,
+    InvalidInput,
     MixedGrids,
     SampleSpec,
     WeightedMeasure,
@@ -155,13 +156,13 @@ class TestHeatApply:
 
     def test_substochastic_columns(self, m_half, grid_half):
         w = grid_half.weights
-        mat = kernel_matrix(m_half, grid_half, 0.3)
+        mat = kernel_matrix(m_half, grid_half, 0.3).toarray()
         masses = w @ mat
         assert masses.max() <= 1.0
         assert masses.min() > 0.0
         # at small dt the sampled kernel is hot by rows and by columns alike
         for dt in (1e-4, 1e-3):
-            assert_sub_markov(kernel_matrix(m_half, grid_half, dt), w)
+            assert_sub_markov(kernel_matrix(m_half, grid_half, dt).toarray(), w)
             ones = heat_evolve(m_half, dt, GridFunction.ones(grid_half), n_steps=1)
             assert ones.values.max() <= 1.0
 
@@ -192,7 +193,7 @@ class TestMatrixAssembly:
         # the cut ends the band before the Gaussian factor underflows
         assert np.any((mat != want) & (gauss != 0.0))
         assert_no_subnormal(mat)
-        assert_no_subnormal(kernel_matrix(m, grid, t))
+        assert_no_subnormal(kernel_matrix(m, grid, t).toarray())
 
     @given(
         alpha=st.floats(min_value=0.2, max_value=3.0),
@@ -217,7 +218,7 @@ class TestMatrixAssembly:
         mat = kernel_module._raw_matrix(m, grid, t)
         assert_cut_of(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1], grid.weights)
         assert_no_subnormal(mat)
-        assert_no_subnormal(kernel_matrix(m, grid, t))
+        assert_no_subnormal(kernel_matrix(m, grid, t).toarray())
 
     @pytest.mark.parametrize("t", [1e-5, 1.0 / 32.0, 3.0])
     def test_block_size_moves_no_bit(self, monkeypatch, t):
@@ -227,31 +228,34 @@ class TestMatrixAssembly:
         for pairs in (1, 97, 1 << 16):
             monkeypatch.setattr(kernel_module, "_BLOCK_PAIRS", pairs)
             grid = grid_of_test14(m)
-            built.append((kernel_module._raw_matrix(m, grid, t), kernel_matrix(m, grid, t)))
+            built.append((kernel_module._raw_matrix(m, grid, t), kernel_matrix(m, grid, t).toarray()))
         for raw, scaled in built[1:]:
             assert np.array_equal(raw, built[0][0])
             assert np.array_equal(scaled, built[0][1])
 
     def test_assembly_peak_memory(self):
-        # row blocks keep every array but the matrix itself small; at 2^-13
-        # rows are hot and the cap builds one divisor of the matrix's size
+        # row blocks keep every array but the dense matrix itself small; at
+        # 2^-13 rows are hot and the cap builds one divisor of the matrix's
+        # size; the dense build, not the cached band, is the peak
         m = WeightedMeasure(0.5)
         for t in (3.0, 2.0**-13):
             grid = grid_of_test14(m)
+            n = len(grid)
             tracemalloc.start()
             try:
-                mat = kernel_matrix(m, grid, t)
+                kernel_matrix(m, grid, t)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak < 3 * mat.nbytes
+            assert peak < 3 * n * n * 8
 
     def test_matrix_starts_on_a_cache_line(self, m_half):
         # dense matvecs ran about 10% slower on a matrix 16 bytes past a page boundary
         grid = Grid.build(m_half, 420, 24.0, 80.0)
         for t in (1e-3, 0.1):
-            for build in (kernel_module._raw_matrix, kernel_matrix):
-                assert build(m_half, grid, t).ctypes.data % 64 == 0
+            assert kernel_module._raw_matrix(m_half, grid, t).ctypes.data % 64 == 0
+            for *_, block in kernel_matrix(m_half, grid, t).blocks:
+                assert block.ctypes.data % 64 == 0
 
     def test_mismatched_measure_rejected(self, grid_half):
         with pytest.raises(MixedGrids, match="alpha"):
@@ -297,7 +301,7 @@ class TestSubMarkov:
     def test_rows_columns_symmetry_positivity(self, alpha, n, ratio, x_max, dt):
         m = WeightedMeasure(alpha)
         grid = Grid.build(m, n, x_max, ratio)
-        mat = kernel_matrix(m, grid, dt)
+        mat = kernel_matrix(m, grid, dt).toarray()
         raw = kernel_module._raw_matrix(m, grid, dt)
         assert_sub_markov(mat, grid.weights)
         assert np.all(mat >= 0.0) and np.all(np.diag(mat) > 0.0)
@@ -310,6 +314,87 @@ class TestSubMarkov:
         else:
             c = np.where(mass > MASS_CAP, mass / _MASS_TARGET, 1.0)
             assert np.array_equal(mat, raw / np.maximum.outer(c, c))
+
+
+def capped_dense(m, grid, t):
+    """The sub-Markov cap of the raw matrix, computed densely as kernel_matrix's docstring states it."""
+    raw = kernel_module._raw_matrix(m, grid, t)
+    mass = raw @ grid.weights
+    if mass.max() <= MASS_CAP:
+        return raw
+    c = np.where(mass > MASS_CAP, mass / _MASS_TARGET, 1.0)
+    return raw / np.maximum.outer(c, c)
+
+
+BAND_GRIDS = {
+    "test14 n=900": grid_of_test14,
+    "n=420": lambda m: Grid.build(m, 420, 24.0, 80.0, breakpoints=[k / 2 for k in range(1, 9)]),
+    "n=320": lambda m: Grid.build(m, 320, 30.0, 60.0),
+}
+
+
+class TestBandMatrix:
+    """The cached kernel matrix: 128-row blocks over 16-aligned column spans."""
+
+    @pytest.mark.parametrize("name", list(BAND_GRIDS))
+    @pytest.mark.parametrize("t", [2.0**-5, 2.0**-9, 2.0**-13, 2.0**-17])
+    def test_product_is_the_dense_product(self, name, t):
+        m = WeightedMeasure(0.5)
+        grid = BAND_GRIDS[name](m)
+        band = kernel_matrix(m, grid, t)
+        dense = band.toarray()
+        assert np.array_equal(dense, capped_dense(m, grid, t))
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            v = grid.weights * rng.uniform(0.0, 1.0, len(grid))
+            assert np.array_equal(band @ v, dense @ v)
+
+    @given(
+        alpha=st.floats(min_value=0.2, max_value=3.0),
+        n=st.integers(min_value=2, max_value=600),
+        ratio=st.floats(min_value=1.0, max_value=1000.0),
+        x_max=st.floats(min_value=2.0, max_value=60.0),
+        dt=st.floats(min_value=1e-5, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_layout_and_product_on_random_grids(self, alpha, n, ratio, x_max, dt, seed):
+        m = WeightedMeasure(alpha)
+        grid = Grid.build(m, n, x_max, ratio)
+        band = kernel_matrix(m, grid, dt)
+        dense = band.toarray()
+        assert np.array_equal(dense, capped_dense(m, grid, dt))
+        rows = [r0 for r0, *_ in band.blocks]
+        assert rows == list(range(0, n, 128))
+        for r0, r1, c0, c1, block in band.blocks:
+            assert r1 == min(r0 + 128, n) and block.shape == (r1 - r0, c1 - c0)
+            assert block.ctypes.data % 64 == 0
+            # the span is the nonzero columns, widened to 16-column lines
+            nonzero = np.flatnonzero(dense[r0:r1].any(axis=0))
+            assert c0 == nonzero[0] // 16 * 16
+            assert c1 == min(-(-(nonzero[-1] + 1) // 16) * 16, n)
+        v = np.random.default_rng(seed).uniform(0.0, 1.0, n)
+        assert np.array_equal(band @ v, dense @ v)
+
+    def test_band_is_smaller_than_the_square(self):
+        m = WeightedMeasure(0.5)
+        grid = grid_of_test14(m)
+        n = len(grid)
+        for t in (2.0**-5, 2.0**-9, 2.0**-13, 2.0**-17):
+            assert kernel_matrix(m, grid, t).nbytes < n * n * 8
+
+    @pytest.mark.parametrize("n", [2, 100, 128])
+    def test_small_grid_is_one_full_block(self, m_half, n):
+        grid = Grid.build(m_half, n, 8.0, 10.0)
+        for t in (1e-4, 0.1, 10.0):
+            ((r0, r1, c0, c1, block),) = kernel_matrix(m_half, grid, t).blocks
+            assert (r0, r1, c0, c1) == (0, n, 0, n)
+
+    def test_product_needs_a_vector_of_length_n(self, m_half):
+        band = kernel_matrix(m_half, Grid.build(m_half, 40, 8.0, 10.0), 0.1)
+        for v in (np.ones(39), np.ones(41), np.ones((40, 1))):
+            with pytest.raises(InvalidInput, match="length 40"):
+                band @ v
 
 
 class TestGaussianSandwich:

@@ -497,6 +497,9 @@ BAD_CALLS = {
     "check_condition_K one-point fit": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=2),
     "check_condition_K s_nodes": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, s_nodes=0),
     "check_condition_K no intervals": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, intervals=[]),
+    "check_condition_K interval past the grid": lambda m, g, f: check_condition_K(
+        m, V1, v1_section(m), g, intervals=[DyadicInterval(5, 1)]
+    ),
 }
 
 

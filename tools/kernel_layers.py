@@ -15,13 +15,19 @@ It prints:
   the sub-Markov cap, each on a fresh grid, so the difference of the two is
   what the cap costs;
 - ``sha256``: the digest of every raw matrix and every scaled (capped) one,
-  which ``kernel_matrix`` returns, at those points;
+  which ``kernel_matrix`` returns as a ``BandMatrix`` and is hashed as its
+  ``toarray()``, at those points;
 - ``kept_pairs``: the pairs i <= j with a nonzero raw entry at those points;
 - ``subnormal_entries``: the subnormal entries of every raw and scaled matrix
   at those points;
-- ``matvec_us``: one dense matvec ``mat @ (w * v)`` with the scaled matrix,
-  as the evolution makes it, in us, best of ``--repeats`` loops of
-  ``MATVECS``, at n = 900, 1400 and dt = 1e-3, 1/32;
+- ``cache_mb``: the bytes ``kernel_matrix`` caches, its ``BandMatrix``
+  ``nbytes``, in MB at those points; the dense matrix is n^2 8 bytes, 0.82,
+  6.48 and 15.68 MB;
+- ``matvec_us``: one matvec ``mat @ (w * v)`` with the scaled matrix, as
+  the evolution makes it, in us, best of ``--repeats`` loops of
+  ``MATVECS``, at n = 900, 1400 and every dt above: ``band`` with the
+  cached ``BandMatrix``, one gemv per row block, and ``dense`` with its
+  ``toarray()`` copied to a line-aligned n x n array, one gemv;
 - ``bessel_evals_per_s``: ``bessel_i_scaled_ratio`` of the heat-kernel order
   -0.25 on a fixed seeded array of 1e6 log-uniform z in [1e-3, 1e5], in one
   call, best of ``--repeats``;
@@ -71,7 +77,6 @@ SIZES = (320, 900, 1400)
 STEPS = {"1e-4": 1e-4, "1e-3": 1e-3, "1/32": 1.0 / 32.0, "1": 1.0}
 BESSEL_EVALS = 1_000_000
 MATVEC_SIZES = (900, 1400)
-MATVEC_STEPS = ("1e-3", "1/32")
 MATVECS = 200
 PANELS = (10, 20)
 
@@ -100,6 +105,7 @@ def main() -> None:
     digests: dict = {}
     kept: dict = {}
     subnormal: dict = {}
+    cache_mb: dict = {}
     matvec_us: dict = {}
     for n in SIZES:
         for label, dt in STEPS.items():
@@ -109,22 +115,28 @@ def main() -> None:
                     1e3 * best_of(repeats, lambda: build(m, grids.pop(), dt)), 2
                 )
             grid = test14_grid(n)
-            for scaled, build in ((False, kernel_module._raw_matrix), (True, kernel_matrix)):
-                mat = build(m, grid, dt)
+            raw = kernel_module._raw_matrix(m, grid, dt)
+            band = kernel_matrix(m, grid, dt)
+            cache_mb.setdefault(str(n), {})[label] = round(band.nbytes / 1e6, 3)
+            for scaled, mat in ((False, raw), (True, band.toarray())):
                 name = f"n={n} dt={label} {'scaled' if scaled else 'raw'}"
                 digests[name] = hashlib.sha256(mat.tobytes()).hexdigest()
                 subnormal[name] = int(np.count_nonzero((mat != 0.0) & (np.abs(mat) < np.finfo(mat.dtype).tiny)))
                 if not scaled:
                     kept[f"n={n} dt={label}"] = int(np.count_nonzero(np.triu(mat)))
-            if n in MATVEC_SIZES and label in MATVEC_STEPS:
-                # mat is the scaled matrix, the last one built
+            if n in MATVEC_SIZES:
+                # the dense matrix as the cache held it before band storage
+                dense = kernel_module._zeros_line_aligned(n * n).reshape(n, n)
+                dense[...] = band.toarray()
                 w, v = grid.weights, np.random.default_rng(0).uniform(0.0, 1.0, n)
+                for kind, op in (("band", band), ("dense", dense)):
 
-                def matvecs():
-                    for _ in range(MATVECS):
-                        mat @ (w * v)
+                    def matvecs():
+                        for _ in range(MATVECS):
+                            op @ (w * v)
 
-                matvec_us[f"n={n} dt={label}"] = round(1e6 * best_of(repeats, matvecs) / MATVECS, 1)
+                    us = round(1e6 * best_of(repeats, matvecs) / MATVECS, 1)
+                    matvec_us.setdefault(f"n={n} dt={label}", {})[kind] = us
 
     z = np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(1e5), BESSEL_EVALS))
     bessel_s = best_of(repeats, lambda: bessel_i_scaled_ratio(m.kernel_order, z))
@@ -179,6 +191,7 @@ def main() -> None:
                 "kernel_matrix_ms": matrix_ms,
                 "kept_pairs": kept,
                 "subnormal_entries": subnormal,
+                "cache_mb": cache_mb,
                 "matvec_us": matvec_us,
                 "bessel_evals_per_s": round(BESSEL_EVALS / bessel_s),
                 "bessel_evals_per_s_kernel_args": round(kernel_args / kernel_args_s),
