@@ -23,7 +23,7 @@ from scipy.integrate import quad
 from .errors import BalanceUnreachable, InvalidInput
 from .grid import Grid, GridFunction
 from .hardy import Bump
-from .kernel import _check_count, heat_kernel
+from .kernel import _aligned_span, _check_count, heat_kernel
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
 from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through
@@ -383,8 +383,11 @@ def check_condition_K(
     (rho(0,I) <= 2|I|) must reach delta >= (1-alpha)/2 - 0.1, others
     delta >= 1/2 - 0.1.  The s-integral is evaluated in the variable sqrt(s),
     which absorbs the integrable s^{-(1-alpha)/2} blow-up near s = 0.
-    An interval whose I*** holds no grid node raises InvalidInput; one where
-    V vanishes on I***, so G = 0, passes as vacuous.
+    The y-sum runs over the grid nodes of I***, widened to the aligned span
+    of ``kernel._aligned_span``: the kernel is evaluated on those columns
+    only, and every G is the full-width sum bit for bit.  An interval whose
+    I*** holds no grid node raises InvalidInput; one where V vanishes on
+    I***, so G = 0, passes as vacuous.
     """
     _check_count("t_count", t_count, least=3)  # the small-t half of the fit needs two points
     _check_count("s_nodes", s_nodes)
@@ -397,9 +400,12 @@ def check_condition_K(
         base = d.to_interval()
         star3 = enlarge(base, beta**3)
         mask = (grid.nodes >= star3.a) & (grid.nodes <= star3.b)
-        if not mask.any():  # G would be 0 and pass like a zero potential
+        inside = np.flatnonzero(mask)
+        if not inside.size:  # G would be 0 and pass like a zero potential
             raise InvalidInput(f"interval {d}: I*** = [{star3.a!r}, {star3.b!r}] holds no grid node")
-        weight_vec = np.where(mask, v_nodes, 0.0) * grid.weights
+        c0, c1 = _aligned_span(inside[0], inside[-1], len(grid))
+        cols = grid.nodes[None, c0:c1]
+        weight_vec = (np.where(mask, v_nodes, 0.0) * grid.weights)[c0:c1]
         near = (grid.nodes >= star3.a - 2.0 * base.length) & (
             grid.nodes <= star3.b + 2.0 * base.length
         )
@@ -416,7 +422,7 @@ def check_condition_K(
             acc = np.zeros(probes.size)
             for u, w_u in zip(us, ws):
                 s = u * u
-                rows = heat_kernel(m, s, probes[:, None], grid.nodes[None, :])
+                rows = heat_kernel(m, s, probes[:, None], cols)
                 acc += (2.0 * u * w_u) * (rows @ weight_vec)
             gs[i] = float(acc.max())
         threshold = (

@@ -100,7 +100,9 @@ class Grid:
         return j
 
     def snap_edge(self, x: float) -> int:
-        """Index of the edge nearest to x."""
+        """Index of the edge nearest to x, for 0 <= x <= x_max."""
+        if not 0.0 <= x <= self.edges[-1]:  # also rejects NaN
+            raise InvalidInput(f"point must lie on the grid [0, {self.x_max!r}], got {float(x)!r}")
         j = int(np.clip(np.searchsorted(self.edges, x), 0, self.edges.size - 1))
         if j > 0 and abs(self.edges[j - 1] - x) <= abs(self.edges[j] - x):
             return j - 1

@@ -32,7 +32,8 @@ Bessel kernels stop each argument at its own last term (see ``bessel``).
 pass and caches it on the grid; it is the one matrix the evolution uses.
 
 The cache holds that matrix as a ``BandMatrix``: dense blocks of
-``_BAND_ROWS`` = 128 rows (the last one fewer), each over the columns from
+``_BAND_ROWS`` = 128 rows (the last one fewer, or one more where a single
+row would be left over), each over the columns from
 its first nonzero one, rounded down to a multiple of ``_BAND_ALIGN`` = 16,
 to its last, rounded up to a multiple of 16 and capped at n.  A product
 with a vector is one gemv per block.  128 rows: on the n = 420 grid of the
@@ -203,7 +204,10 @@ def _raw_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
 
 # Rows per BandMatrix block.  At n = 420, 64-row blocks took 30-34 us a
 # matvec against 22-27 us dense and 21-26 us with 128 rows in one series;
-# at n = 900 64 and 128 rows tied (module docstring).
+# at n = 900 64 and 128 rows tied (module docstring).  A single row left
+# over joins the block before it: numpy takes a one-row product as a dot,
+# which sums in another order than the gemv of the dense product (at
+# n = 257 the last entry differed).
 _BAND_ROWS = 128
 # Column spans of a block start and end on multiples of this, or at n: then
 # each column stays in the BLAS partial sum it has in the full row, and the
@@ -211,6 +215,16 @@ _BAND_ROWS = 128
 # was the dense one bit for bit in 320 of 320 trials, unaligned it differed
 # in up to 20 of 20.
 _BAND_ALIGN = 16
+
+
+def _aligned_span(first: int, last: int, n: int) -> tuple[int, int]:
+    """Columns ``first`` to ``last`` widened to whole ``_BAND_ALIGN``-column lines, capped at n.
+
+    A product over this span of a row whose other entries meet only +0.0
+    is the full-width product bit for bit (the comment on ``_BAND_ALIGN``).
+    """
+    a = _BAND_ALIGN
+    return first // a * a, min(-(-(last + 1) // a) * a, n)
 
 
 class BandMatrix:
@@ -227,12 +241,13 @@ class BandMatrix:
 
     def __init__(self, dense: np.ndarray):
         n = dense.shape[0]
-        a = _BAND_ALIGN
         spans = []
-        for r0 in range(0, n, _BAND_ROWS):
-            r1 = min(r0 + _BAND_ROWS, n)
+        starts = list(range(0, n, _BAND_ROWS))
+        if n - starts[-1] == 1:
+            del starts[-1]
+        for r0, r1 in zip(starts, starts[1:] + [n]):
             cols = np.flatnonzero(dense[r0:r1].any(axis=0))
-            spans.append((r0, r1, cols[0] // a * a, min(-(-(cols[-1] + 1) // a) * a, n)))
+            spans.append((r0, r1, *_aligned_span(cols[0], cols[-1], n)))
         sizes = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans]
         lines = [-(-size // 8) * 8 for size in sizes]  # whole 64-byte lines of 8 floats
         buf = _zeros_line_aligned(sum(lines))

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from besselhardy import (
     BalanceUnreachable,
+    DyadicInterval,
     GridFunction,
     Interval,
     Potential,
@@ -16,11 +19,14 @@ from besselhardy import (
     check_superharmonic,
     enlarge,
     find_balanced_J,
+    heat_kernel,
     phi_equation_residual,
     schrodinger_apply,
 )
-from besselhardy.conditions import LeftPlateauBump, SmoothBump, balance_functional
+from besselhardy import conditions as conditions_module
+from besselhardy.conditions import _K_PROBES, LeftPlateauBump, SmoothBump, balance_functional
 from besselhardy.grid import Grid
+from besselhardy.section import ProperSection
 from besselhardy.semigroup import step_lattice
 
 M = WeightedMeasure(0.5)
@@ -261,3 +267,94 @@ class TestConditionK:
         near = [d for d in sec if d.to_interval().a <= 2 * d.length][:2]
         rep = check_condition_K(M, VPOW, sec, grid, intervals=near, t_count=5)
         assert rep.passed
+
+
+def full_width_G(m, potential, beta, grid, d, t_count, s_nodes):
+    """The G values of ``check_condition_K`` for one interval, with the kernel on every grid column."""
+    gl_u, gl_w = np.polynomial.legendre.leggauss(s_nodes)
+    base = d.to_interval()
+    star3 = enlarge(base, beta**3)
+    mask = (grid.nodes >= star3.a) & (grid.nodes <= star3.b)
+    weight_vec = np.where(mask, np.asarray(potential(grid.nodes), dtype=np.float64), 0.0) * grid.weights
+    near = (grid.nodes >= star3.a - 2.0 * base.length) & (grid.nodes <= star3.b + 2.0 * base.length)
+    probes = grid.nodes[near]
+    if probes.size > _K_PROBES:
+        probes = probes[np.linspace(0, probes.size - 1, _K_PROBES).round().astype(int)]
+    gs = []
+    for t in d.length**2 * 2.0 ** (-np.arange(t_count, dtype=float)):
+        u_hi = math.sqrt(2.0 * t)
+        acc = np.zeros(probes.size)
+        for u, w_u in zip(0.5 * u_hi * (gl_u + 1.0), 0.5 * u_hi * gl_w):
+            rows = heat_kernel(m, u * u, probes[:, None], grid.nodes[None, :])
+            acc += (2.0 * u * w_u) * (rows @ weight_vec)
+        gs.append(float(acc.max()))
+    return np.array(gs)
+
+
+def star3_span(grid, d, beta):
+    """First and one-past-last column of I***'s grid nodes, widened to 16-column lines and capped at n."""
+    star3 = enlarge(d.to_interval(), beta**3)
+    inside = np.flatnonzero((grid.nodes >= star3.a) & (grid.nodes <= star3.b))
+    return inside[0] // 16 * 16, min(-(-(inside[-1] + 1) // 16) * 16, len(grid))
+
+
+def lone_section(d, beta):
+    return ProperSection((d,), beta, 1.0, d.to_interval())
+
+
+class TestConditionKSpan:
+    """K evaluates the kernel on the aligned span of I*** only, with every G bit-identical."""
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        n=st.integers(min_value=20, max_value=500),
+        x_max=st.floats(min_value=4.0, max_value=60.0),
+        ratio=st.floats(min_value=1.0, max_value=1000.0),
+        beta=st.floats(min_value=1.05, max_value=1.5),
+        level=st.integers(min_value=-3, max_value=3),
+        place=st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+        kind=st.sampled_from(["constant", "power", "part of I***", "mixed"]),
+        coeff=st.floats(min_value=0.1, max_value=100.0),
+        exponent=st.floats(min_value=-1.5, max_value=1.0),
+        cut=st.floats(min_value=0.05, max_value=0.95),
+        t_count=st.integers(min_value=3, max_value=4),
+        s_nodes=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_entries_equal_the_full_width_sum(
+        self, alpha, n, x_max, ratio, beta, level, place, kind, coeff, exponent, cut, t_count, s_nodes
+    ):
+        m = WeightedMeasure(alpha)
+        grid = Grid.build(m, n, x_max, ratio)
+        length = math.ldexp(1.0, level)
+        # place = 1 puts x_max inside I, so I*** reaches past the grid and the span is capped at n
+        d = DyadicInterval(level, round(place * math.floor(x_max / length)))
+        star3 = enlarge(d.to_interval(), beta**3)
+        assume(np.any((grid.nodes >= star3.a) & (grid.nodes <= star3.b)))
+        # "part of I***": V vanishes on the right part of I*** (and past it)
+        split = star3.a + cut * (min(star3.b, x_max) - star3.a)
+        potential = {
+            "constant": Potential.constant(coeff),
+            "power": Potential.power(coeff, exponent),
+            "part of I***": Potential(pieces=((0.0, split, coeff),)),
+            "mixed": Potential(pieces=((0.0, split, coeff),), power_coeff=1.0, power_exponent=exponent),
+        }[kind]
+        rep = check_condition_K(m, potential, lone_section(d, beta), grid, [d], t_count, s_nodes)
+        want = full_width_G(m, potential, beta, grid, d, t_count, s_nodes)
+        assert np.array_equal(rep.entries[0].values, want)
+
+    @pytest.mark.parametrize("where", ["inside", "reaching x_max"])
+    def test_kernel_sees_only_the_span(self, monkeypatch, where):
+        grid = Grid.build(M, 600, 40.0, 300.0)
+        d = DyadicInterval(0, 3) if where == "inside" else DyadicInterval(2, 9)  # [3, 4] or [36, 40]
+        c0, c1 = star3_span(grid, d, 1.2)
+        assert (c0, c1) != (0, len(grid)) and (c1 == len(grid)) == (where == "reaching x_max")
+        widths = []
+
+        def spy(m, t, x, y):
+            widths.append(np.shape(y)[-1])
+            return heat_kernel(m, t, x, y)
+
+        monkeypatch.setattr(conditions_module, "heat_kernel", spy)
+        check_condition_K(M, V1, lone_section(d, 1.2), grid, [d], t_count=3, s_nodes=4)
+        assert len(widths) == 3 * 4 and max(widths) <= c1 - c0

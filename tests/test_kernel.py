@@ -1,5 +1,10 @@
+import io
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -326,6 +331,39 @@ def capped_dense(m, grid, t):
     return raw / np.maximum.outer(c, c)
 
 
+_PRODUCTS = """
+import io, sys
+import numpy as np
+f = io.BytesIO(sys.stdin.buffer.read())
+mats, vs = np.load(f), np.load(f)
+if sys.argv[1] == "band":
+    from besselhardy.kernel import BandMatrix
+    mats = [BandMatrix(mat) for mat in mats]
+out = io.BytesIO()
+np.save(out, np.array([[mat @ v for v in vs] for mat in mats]))
+sys.stdout.buffer.write(out.getvalue())
+"""
+
+
+def products_in_child(threads, mats, vs, form="dense"):
+    """``[[A @ v for v in vs] for A in mats]``, one gemv per product, in a fresh interpreter
+    with ``threads`` OpenBLAS threads; A is each dense matrix, or its BandMatrix for form "band".
+
+    A process fixes its BLAS thread count when numpy loads.  Two threads may
+    split a large gemv and sum its parts in another order, so a product's
+    bits can depend on the count.
+    """
+    payload = io.BytesIO()
+    np.save(payload, np.asarray(mats))
+    np.save(payload, np.asarray(vs))
+    src = str(Path(kernel_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    cmd = [sys.executable, "-c", _PRODUCTS, form]
+    out = subprocess.run(cmd, input=payload.getvalue(), env=env, capture_output=True, check=True).stdout
+    return np.load(io.BytesIO(out))
+
+
 BAND_GRIDS = {
     "test14 n=900": grid_of_test14,
     "n=420": lambda m: Grid.build(m, 420, 24.0, 80.0, breakpoints=[k / 2 for k in range(1, 9)]),
@@ -345,9 +383,20 @@ class TestBandMatrix:
         dense = band.toarray()
         assert np.array_equal(dense, capped_dense(m, grid, t))
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            v = grid.weights * rng.uniform(0.0, 1.0, len(grid))
-            assert np.array_equal(band @ v, dense @ v)
+        vs = [grid.weights * rng.uniform(0.0, 1.0, len(grid)) for _ in range(5)]
+        # the blocks equal the dense gemv of one BLAS thread; two may split the dense one
+        (want,) = products_in_child(1, [dense], vs)
+        for v, w in zip(vs, want):
+            assert np.array_equal(band @ v, w)
+
+    def test_product_is_the_same_under_one_and_two_blas_threads(self):
+        m = WeightedMeasure(0.5)
+        grid = grid_of_test14(m)
+        mats = [kernel_matrix(m, grid, t).toarray() for t in (2.0**-5, 2.0**-9, 2.0**-13, 2.0**-17)]
+        rng = np.random.default_rng(7)
+        vs = [grid.weights * rng.uniform(0.0, 1.0, len(grid)) for _ in range(5)]
+        one, two = (products_in_child(threads, mats, vs, "band") for threads in (1, 2))
+        assert one.tobytes() == two.tobytes()
 
     @given(
         alpha=st.floats(min_value=0.2, max_value=3.0),
@@ -364,10 +413,12 @@ class TestBandMatrix:
         band = kernel_matrix(m, grid, dt)
         dense = band.toarray()
         assert np.array_equal(dense, capped_dense(m, grid, dt))
-        rows = [r0 for r0, *_ in band.blocks]
-        assert rows == list(range(0, n, 128))
-        for r0, r1, c0, c1, block in band.blocks:
-            assert r1 == min(r0 + 128, n) and block.shape == (r1 - r0, c1 - c0)
+        starts = list(range(0, n, 128))
+        if n - starts[-1] == 1:  # a lone last row joins the block before
+            del starts[-1]
+        assert [r0 for r0, *_ in band.blocks] == starts
+        for (r0, r1, c0, c1, block), end in zip(band.blocks, starts[1:] + [n]):
+            assert r1 == end and block.shape == (r1 - r0, c1 - c0)
             assert block.ctypes.data % 64 == 0
             # the span is the nonzero columns, widened to 16-column lines
             nonzero = np.flatnonzero(dense[r0:r1].any(axis=0))
@@ -389,6 +440,17 @@ class TestBandMatrix:
         for t in (1e-4, 0.1, 10.0):
             ((r0, r1, c0, c1, block),) = kernel_matrix(m_half, grid, t).blocks
             assert (r0, r1, c0, c1) == (0, n, 0, n)
+
+    @pytest.mark.parametrize("n", [129, 257, 385])
+    def test_lone_last_row_joins_the_block_before(self, n):
+        # numpy takes a one-row block's product as a dot, which sums that row
+        # in another order than the dense gemv
+        m = WeightedMeasure(1.0)
+        grid = Grid.build(m, n, 2.0, 1.0)
+        band = kernel_matrix(m, grid, 0.5)
+        assert band.blocks[-1][:2] == (n - 129, n)
+        v = np.random.default_rng(0).uniform(0.0, 1.0, n)
+        assert np.array_equal(band @ v, band.toarray() @ v)
 
     def test_product_needs_a_vector_of_length_n(self, m_half):
         band = kernel_matrix(m_half, Grid.build(m_half, 40, 8.0, 10.0), 0.1)

@@ -479,6 +479,9 @@ BAD_CALLS = {
     "Grid.build fractional n": lambda m, g, f: Grid.build(m, 2.5, 8.0),
     "GridFunction shape": lambda m, g, f: GridFunction(g, np.ones(3)),
     "point_mass NaN point": lambda m, g, f: GridFunction.point_mass(g, math.nan),
+    "snap_edge NaN point": lambda m, g, f: g.snap_edge(math.nan),
+    "snap_edge negative point": lambda m, g, f: g.snap_edge(-5.0),
+    "snap_edge point past the grid": lambda m, g, f: g.snap_edge(1e9),
     "bessel order": lambda m, g, f: bessel_i_scaled_ratio(-2.0, 1.0),
     "bessel argument": lambda m, g, f: bessel_i_scaled_ratio(0.5, -1.0),
     "find_balanced_J alpha": lambda m, g, f: find_balanced_J(
