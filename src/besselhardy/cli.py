@@ -259,8 +259,13 @@ def run_semigroup_suite(cfg: RunConfig) -> list[CheckResult]:
     def feynman_kac_vs_grid():
         x0, t_mc = 1.0, 0.5
         n_paths, n_steps = 20000, 200
-        fk = sg.feynman_kac(m, cfg.potential, t_mc, x0, lambda x: np.ones_like(x), n_paths, n_steps, cfg.seed)
-        col = sg.schrodinger_apply(m, cfg.potential, t_mc, GridFunction.ones(grid), scheme)
+
+        def f(x):
+            # not constant, so the paths' law matters and not only their weights
+            return np.where(x <= 0.5, 1.0, 0.0)
+
+        fk = sg.feynman_kac(m, cfg.potential, t_mc, x0, f, n_paths, n_steps, cfg.seed)
+        col = sg.schrodinger_apply(m, cfg.potential, t_mc, GridFunction.from_callable(grid, f), scheme)
         grid_val = float(col.values[grid.index_of(x0)])
         gap = abs(fk.estimate - grid_val)
         tol_mc = 4.0 * fk.stderr + cfg.tol("mc_grid", 5e-3)

@@ -295,7 +295,11 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     ``_BAND_ROWS`` = 128-row blocks over column spans aligned to
     ``_BAND_ALIGN`` = 16, the sizes for which a block matvec was measured
     no slower than the dense one and bit for bit equal to it (see the module
-    docstring); ``toarray`` gives the dense capped matrix.
+    docstring); ``toarray`` gives the dense capped matrix.  The raw matrix
+    is packed first, the masses m_i are its band product and each block is
+    divided in place: a dense n x n gemv sums in an order that depends on
+    the BLAS thread count, the band product does not, so the capped bits do
+    not either, and no n x n divisor is built.
     """
     if m.alpha != grid.measure.alpha:
         raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
@@ -303,13 +307,13 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     t = float(t)
     mat = grid.cache_get(t)
     if mat is None:
-        mat = _raw_matrix(m, grid, t)
+        mat = BandMatrix(_raw_matrix(m, grid, t))
         mass = mat @ grid.weights
         hot = mass > MASS_CAP
         if hot.any():
             c = np.where(hot, mass / _MASS_TARGET, 1.0)
-            mat /= np.maximum(c[:, None], c)
-        mat = BandMatrix(mat)
+            for r0, r1, c0, c1, block in mat.blocks:
+                block /= np.maximum(c[r0:r1, None], c[c0:c1])
         grid.cache_put(t, mat)
     return mat
 

@@ -13,12 +13,19 @@ Two independent realizations:
 
 * A Feynman-Kac Monte Carlo estimator over the Bessel process of dimension
   alpha + 1, simulated by exact squared-Bessel transitions (noncentral
-  chi-square); no SDE discretization touches the singular drift at 0.
+  chi-square); no SDE discretization touches the singular drift at 0.  The
+  paths are drawn in a fixed number of chunks, each from its own child of
+  the seed's ``SeedSequence``, on a thread pool; the estimate's bits are
+  fixed by the seed, the path and step counts and the chunk count, and not
+  by how many CPUs draw them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -228,22 +235,84 @@ def _check_paths(t: float, x0: float, n_paths: int, n_steps: int) -> None:
     _check_count("steps", n_steps)
 
 
-def _bessel_path(
-    m: WeightedMeasure, t: float, x0: float, n_paths: int, n_steps: int, rng
-) -> Iterator[np.ndarray]:
-    """Yield the Bessel process radii at times 0, t/n_steps, ..., t.
+# Feynman-Kac paths are drawn in this many chunks, chunk k from the k-th
+# child of SeedSequence(seed).spawn(_FK_CHUNKS).  A constant, not the CPU
+# count, so that the draws depend only on (seed, n_paths, n_steps).  On a
+# 2-vCPU host, medians of six runs of 20,000 x 200 / 40,000 x 250 paths
+# took 470 / 1306 ms in one chunk, 271 / 730 ms in 2, 306 / 797 ms in 4 and
+# 363 / 853 ms in 8: each chunk step costs some Python under the GIL.
+_FK_CHUNKS = 2
+
+
+@functools.cache
+def _fk_pool() -> ThreadPoolExecutor:
+    """The chunk workers, made on first use: one per usable CPU, at most one per chunk."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return ThreadPoolExecutor(min(_FK_CHUNKS, cpus), thread_name_prefix="besselhardy-fk")
+
+
+# A forked child has none of the parent's pool threads: it makes its own.
+if hasattr(os, "register_at_fork"):  # not on Windows
+    os.register_at_fork(after_in_child=_fk_pool.cache_clear)
+
+
+def _path_chunk(
+    m: WeightedMeasure,
+    potential: Potential,
+    t: float,
+    x0: float,
+    n_paths: int,
+    n_steps: int,
+    seed: np.random.SeedSequence,
+) -> tuple[np.ndarray, np.ndarray]:
+    """int_0^t V(B_s) ds by the trapezoid rule along ``n_paths`` paths, and the radii B_t.
 
     B is the Bessel process generated by the weighted Laplacian; its square
     is a squared Bessel process of dimension alpha + 1 run at double speed,
-    so each step draws an exact noncentral chi-square transition.
+    so each of the ``n_steps`` steps draws an exact noncentral chi-square
+    transition from ``default_rng(seed)``.  It runs on a pool thread, so it
+    calls nothing but numpy, the potential and its own generator (numpy
+    releases the GIL inside the draw): no library function that a tracer
+    such as ``bench/tracer.py`` wraps, since a tracer's span stack belongs
+    to one thread.  It sets its own floating-point error state.
     """
+    rng = np.random.default_rng(seed)
     dim = m.alpha + 1.0
-    s = 2.0 * (t / n_steps)
+    dt = t / n_steps
+    s = 2.0 * dt
     ysq = np.full(n_paths, x0 * x0)
-    yield np.sqrt(ysq)
-    for _ in range(n_steps):
-        ysq = s * rng.noncentral_chisquare(dim, ysq / s, size=n_paths)
-        yield np.sqrt(ysq)
+    r = np.sqrt(ysq)
+    accum = np.zeros(n_paths)
+    with np.errstate(over="ignore"):
+        v_prev = np.asarray(potential(r), dtype=np.float64)
+        for _ in range(n_steps):
+            ysq = s * rng.noncentral_chisquare(dim, ysq / s, size=n_paths)
+            r = np.sqrt(ysq)
+            v_cur = np.asarray(potential(r), dtype=np.float64)
+            accum += (0.5 * dt) * (v_prev + v_cur)
+            v_prev = v_cur
+    return accum, r
+
+
+def _bessel_paths(
+    m: WeightedMeasure, potential: Potential, t: float, x0: float, n_paths: int, n_steps: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_path_chunk`` over all paths in ``_FK_CHUNKS`` chunks on ``_fk_pool``, joined in chunk order.
+
+    Chunk k holds n_paths // _FK_CHUNKS paths, one more for k < n_paths %
+    _FK_CHUNKS, and draws from the k-th spawned child of the seed, so the
+    result is the same bits whatever the number of workers.
+    """
+    _check_paths(t, x0, n_paths, n_steps)
+    potential.validate_for(m.alpha)
+    sizes = [n_paths // _FK_CHUNKS + (k < n_paths % _FK_CHUNKS) for k in range(_FK_CHUNKS)]
+    seeds = np.random.SeedSequence(seed).spawn(_FK_CHUNKS)
+    futures = [
+        _fk_pool().submit(_path_chunk, m, potential, t, x0, size, n_steps, child)
+        for size, child in zip(sizes, seeds)
+    ]
+    accums, ends = zip(*(fut.result() for fut in futures))
+    return np.concatenate(accums), np.concatenate(ends)
 
 
 def feynman_kac(
@@ -258,21 +327,16 @@ def feynman_kac(
 ) -> FeynmanKacResult:
     """Monte Carlo estimate of E^x0[ exp(-int_0^t V(B_s) ds) f(B_t) ].
 
-    The paths are exact Bessel process transitions (``_bessel_path``); the
-    potential integral is accumulated by the trapezoid rule along the path.
-    Identical (seed, n_paths, n_steps) inputs give bit-identical results.
+    The paths are exact Bessel process transitions and the potential
+    integral is the trapezoid rule along each path (``_path_chunk``).  They
+    are drawn in ``_FK_CHUNKS`` = 2 chunks with their own seeded streams,
+    side by side on up to one thread per usable CPU (``_bessel_paths``);
+    f, the mean and the stderr then see all paths in chunk order.  The bits
+    of the result are fixed by the seed, n_paths, n_steps and the chunk
+    count, not by the number of CPUs: identical inputs give bit-identical
+    results.
     """
-    _check_paths(t, x0, n_paths, n_steps)
-    potential.validate_for(m.alpha)
-    dt = t / n_steps
-    path = _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed))
-    with np.errstate(over="ignore"):
-        v_prev = np.asarray(potential(next(path)), dtype=np.float64)
-        accum = np.zeros(n_paths)
-        for r in path:
-            v_cur = np.asarray(potential(r), dtype=np.float64)
-            accum += (0.5 * dt) * (v_prev + v_cur)
-            v_prev = v_cur
+    accum, r = _bessel_paths(m, potential, t, x0, n_paths, n_steps, seed)
     if not np.all(np.isfinite(accum)):
         raise QuadratureBudgetExceeded(
             "potential integral overflowed along a path (V unbounded on the range)"
@@ -286,11 +350,8 @@ def feynman_kac(
 def besq_terminal_samples(
     m: WeightedMeasure, t: float, x0: float, n_paths: int, n_steps: int, seed: int
 ) -> np.ndarray:
-    """Terminal B_t samples of the free Bessel process (marginal checks)."""
-    _check_paths(t, x0, n_paths, n_steps)
-    for r in _bessel_path(m, t, x0, n_paths, n_steps, np.random.default_rng(seed)):
-        pass
-    return r
+    """Terminal B_t samples of the free Bessel process (marginal checks), from the Feynman-Kac sampler."""
+    return _bessel_paths(m, Potential.zero(), t, x0, n_paths, n_steps, seed)[1]
 
 
 @dataclass(frozen=True)

@@ -221,7 +221,7 @@ def test_08_mc_grid_cross_validation(grid_half):
     rng = np.random.default_rng(8)
     scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
     ok = True
-    worst = 0.0
+    worst = -math.inf  # the largest gap - bound; negative when every case passes
     for _ in range(10):
         cuts = np.sort(rng.uniform(0.5, 6.0, 2))
         v = Potential(

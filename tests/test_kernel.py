@@ -28,7 +28,7 @@ from besselhardy import (
 from besselhardy import kernel as kernel_module
 from besselhardy.bessel import bessel_i_scaled_ratio
 from besselhardy.grid import Grid
-from besselhardy.kernel import MASS_CAP, _MASS_TARGET
+from besselhardy.kernel import MASS_CAP, _MASS_TARGET, BandMatrix
 
 # rounding is absolute, not relative, among subnormal entries
 TINY = np.finfo(np.float64).tiny
@@ -240,8 +240,8 @@ class TestMatrixAssembly:
 
     def test_assembly_peak_memory(self):
         # row blocks keep every array but the dense matrix itself small; at
-        # 2^-13 rows are hot and the cap builds one divisor of the matrix's
-        # size; the dense build, not the cached band, is the peak
+        # 2^-13 rows are hot and the cap divides the band blocks in place;
+        # the dense build and its band copy are the peak
         m = WeightedMeasure(0.5)
         for t in (3.0, 2.0**-13):
             grid = grid_of_test14(m)
@@ -312,8 +312,9 @@ class TestSubMarkov:
         assert np.all(mat >= 0.0) and np.all(np.diag(mat) > 0.0)
         assert np.all(mat <= raw)
         # one closed-form pass: rows under the cap are left alone, hot rows
-        # and their columns are divided by max(c_i, c_j)
-        mass = raw @ grid.weights
+        # and their columns are divided by max(c_i, c_j); the masses are the
+        # band product, whose bits do not depend on the BLAS thread count
+        mass = BandMatrix(raw) @ grid.weights
         if mass.max() <= MASS_CAP:
             assert np.array_equal(mat, raw)
         else:
@@ -322,9 +323,13 @@ class TestSubMarkov:
 
 
 def capped_dense(m, grid, t):
-    """The sub-Markov cap of the raw matrix, computed densely as kernel_matrix's docstring states it."""
+    """The sub-Markov cap of the raw matrix, divided densely as kernel_matrix's docstring states it.
+
+    The masses are the band product of the raw matrix, as there: a dense
+    gemv may sum in another order under two BLAS threads.
+    """
     raw = kernel_module._raw_matrix(m, grid, t)
-    mass = raw @ grid.weights
+    mass = BandMatrix(raw) @ grid.weights
     if mass.max() <= MASS_CAP:
         return raw
     c = np.where(mass > MASS_CAP, mass / _MASS_TARGET, 1.0)
@@ -345,6 +350,22 @@ sys.stdout.buffer.write(out.getvalue())
 """
 
 
+_CAPPED_DIGESTS = """
+import hashlib
+from besselhardy import Grid, WeightedMeasure, kernel_matrix
+m = WeightedMeasure(0.5)
+grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+for t in (2.0**-5, 2.0**-9, 2.0**-13, 2.0**-17):
+    print(hashlib.sha256(kernel_matrix(m, grid, t).toarray().tobytes()).hexdigest())
+"""
+
+
+def child_path():
+    """PYTHONPATH for a child interpreter that imports this checkout's ``besselhardy``."""
+    src = str(Path(kernel_module.__file__).resolve().parents[1])
+    return os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+
+
 def products_in_child(threads, mats, vs, form="dense"):
     """``[[A @ v for v in vs] for A in mats]``, one gemv per product, in a fresh interpreter
     with ``threads`` OpenBLAS threads; A is each dense matrix, or its BandMatrix for form "band".
@@ -356,9 +377,7 @@ def products_in_child(threads, mats, vs, form="dense"):
     payload = io.BytesIO()
     np.save(payload, np.asarray(mats))
     np.save(payload, np.asarray(vs))
-    src = str(Path(kernel_module.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=child_path())
     cmd = [sys.executable, "-c", _PRODUCTS, form]
     out = subprocess.run(cmd, input=payload.getvalue(), env=env, capture_output=True, check=True).stdout
     return np.load(io.BytesIO(out))
@@ -397,6 +416,16 @@ class TestBandMatrix:
         vs = [grid.weights * rng.uniform(0.0, 1.0, len(grid)) for _ in range(5)]
         one, two = (products_in_child(threads, mats, vs, "band") for threads in (1, 2))
         assert one.tobytes() == two.tobytes()
+
+    def test_capped_matrix_is_the_same_under_one_and_two_blas_threads(self):
+        # the hot rows at 2^-17 are capped with masses that a dense gemv
+        # summed in another order under two threads
+        digests = []
+        for threads in (1, 2):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=child_path())
+            cmd = [sys.executable, "-c", _CAPPED_DIGESTS]
+            digests.append(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
+        assert digests[0] == digests[1] and len(digests[0].split()) == 4
 
     @given(
         alpha=st.floats(min_value=0.2, max_value=3.0),

@@ -1,4 +1,12 @@
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+import warnings
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +48,7 @@ from besselhardy import (
     schrodinger_apply,
 )
 from besselhardy import kernel as kernel_module
+from besselhardy import semigroup as semigroup_module
 from besselhardy.grid import Grid
 from besselhardy.hardy import log_time_grid
 from besselhardy.measure import ball, enlarge, parse_potential
@@ -290,9 +299,13 @@ class TestFeynmanKac:
         assert a.estimate != c.estimate
 
     def test_overflow_reported(self, m_half):
+        # the overflow happens on the pool threads: each sets its own error
+        # state, so no RuntimeWarning escapes even where warnings are errors
         nasty = Potential.power(1e308, 1.0)
-        with pytest.raises(QuadratureBudgetExceeded):
-            feynman_kac(m_half, nasty, 1.0, 0.5, lambda x: np.ones_like(x), 200, 40, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureBudgetExceeded):
+                feynman_kac(m_half, nasty, 1.0, 0.5, lambda x: np.ones_like(x), 200, 40, seed=5)
 
     def test_besq_marginal_matches_kernel(self, m_half):
         # single exact transition; compare against the kernel CDF
@@ -321,6 +334,114 @@ class TestFeynmanKac:
         on_grid = schrodinger_apply(m_half, v, t, GridFunction.from_callable(grid_half, f), SCHEME)
         grid_val = float(on_grid.values[grid_half.index_of(x0)])
         assert abs(res.estimate - grid_val) <= 3.0 * res.stderr + 2e-3
+
+
+def serial_paths(m, potential, t, x0, n_paths, n_steps, seed):
+    """Potential integrals and end points of the chunked sampler, drawn one chunk after another.
+
+    Chunk k holds n_paths // K paths, one more for k < n_paths % K, and
+    draws exact squared-Bessel transitions from the k-th spawned child of
+    the seed.
+    """
+    k_chunks = semigroup_module._FK_CHUNKS
+    dt = t / n_steps
+    accums, ends = [], []
+    for k, child in enumerate(np.random.SeedSequence(seed).spawn(k_chunks)):
+        rng = np.random.default_rng(child)
+        size = n_paths // k_chunks + (k < n_paths % k_chunks)
+        ysq = np.full(size, x0 * x0)
+        v_prev = potential(np.sqrt(ysq))
+        accum = np.zeros(size)
+        for _ in range(n_steps):
+            ysq = 2.0 * dt * rng.noncentral_chisquare(m.alpha + 1.0, ysq / (2.0 * dt), size=size)
+            v_cur = potential(np.sqrt(ysq))
+            accum += (0.5 * dt) * (v_prev + v_cur)
+            v_prev = v_cur
+        accums.append(accum)
+        ends.append(np.sqrt(ysq))
+    return np.concatenate(accums), np.concatenate(ends)
+
+
+_FK_DIGEST = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from besselhardy import Potential, WeightedMeasure, besq_terminal_samples, feynman_kac, semigroup
+m = WeightedMeasure(0.5)
+v = Potential(pieces=((0.0, 1.0, 2.0), (1.0, 3.0, 0.5), (3.0, 30.0, 1.5)))
+res = feynman_kac(m, v, 0.5, 1.0, lambda x: np.exp(-x), 2001, 30, seed=11)
+ends = besq_terminal_samples(m, 0.5, 1.0, 2001, 30, seed=11)
+print(semigroup._fk_pool()._max_workers, res.estimate.hex(), res.stderr.hex(), hashlib.sha256(ends.tobytes()).hexdigest())
+"""
+
+
+class TestChunkedSampler:
+    """Paths are drawn in a fixed number of chunks, each from its own child stream, on a pool."""
+
+    @pytest.mark.parametrize("n_paths", [1, 2, 3, 500, 1001])
+    def test_equals_a_serial_oracle(self, m_half, n_paths):
+        v = piecewise_v()
+
+        def f(x):
+            return np.exp(-((x - 1.5) ** 2))
+
+        accum, ends = serial_paths(m_half, v, 0.6, 1.2, n_paths, 25, 17)
+        vals = np.exp(-accum) * f(ends)
+        res = feynman_kac(m_half, v, 0.6, 1.2, f, n_paths, 25, seed=17)
+        assert res.estimate == float(np.mean(vals))
+        if n_paths > 1:
+            assert res.stderr == float(np.std(vals, ddof=1) / math.sqrt(n_paths))
+        samples = besq_terminal_samples(m_half, 0.6, 1.2, n_paths, 25, seed=17)
+        assert samples.tobytes() == serial_paths(m_half, Potential.zero(), 0.6, 1.2, n_paths, 25, 17)[1].tobytes()
+
+    def test_concurrent_callers_get_the_same_bits(self, m_half):
+        # callers on four threads share the pool; a short switch interval interleaves them
+        def run(_):
+            return feynman_kac(m_half, piecewise_v(), 0.5, 1.0, np.exp, 801, 20, seed=5)
+
+        want = run(None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                got = list(callers.map(run, range(8), timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [want] * 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_draws_on_its_own_pool(self, m_half):
+        # the child inherits the cached pool but none of its threads
+        want = feynman_kac(m_half, piecewise_v(), 0.5, 1.0, np.exp, 101, 10, seed=9)
+        pid = os.fork()
+        if pid == 0:
+            try:
+                got = feynman_kac(m_half, piecewise_v(), 0.5, 1.0, np.exp, 101, 10, seed=9)
+                os._exit(0 if got == want else 1)
+            finally:
+                os._exit(2)
+        deadline = time.monotonic() + 60.0
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done[0] == pid and os.waitstatus_to_exitcode(done[1]) == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_bits_do_not_depend_on_the_cpu_count(self):
+        src = str(Path(semigroup_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = {
+            form: subprocess.run(
+                [sys.executable, "-c", _FK_DIGEST, form], env=env, capture_output=True, text=True, check=True
+            ).stdout.split()
+            for form in ("pinned", "default")
+        }
+        assert out["pinned"][0] == "1"
+        assert int(out["default"][0]) == min(semigroup_module._FK_CHUNKS, len(os.sched_getaffinity(0)))
+        assert out["pinned"][1:] == out["default"][1:]
 
 
 class TestPerturbationFormula:
