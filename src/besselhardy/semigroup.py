@@ -15,16 +15,14 @@ Two independent realizations:
   alpha + 1, simulated by exact squared-Bessel transitions (noncentral
   chi-square); no SDE discretization touches the singular drift at 0.  The
   paths are drawn in a fixed number of chunks, each from its own child of
-  the seed's ``SeedSequence``, on a thread pool; the estimate's bits are
+  the seed's ``SeedSequence``, on a thread each; the estimate's bits are
   fixed by the seed, the path and step counts and the chunk count, and not
   by how many CPUs draw them.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -41,30 +39,22 @@ from .measure import Potential, WeightedMeasure
 class SplittingScheme:
     """Strang factorization parameters.
 
-    ``steps_per_unit`` sets the splitting step count; ``kinetic_substeps``
-    subdivides the kinetic factor of each step into equal kernel
-    applications.  Subdividing keeps one shared base matrix across step-size
-    refinements, which pins the spatial operator and exposes the clean
-    second-order behaviour of the splitting itself.
-
     A leg of length t takes ``steps_for(t)`` equal steps of t / steps_for(t).
     ``step_lattice`` instead rounds each leg's step up to a power of two, at
     most 1 / ``steps_per_unit`` (which it requires to be a power of two), so
     that legs of different lengths share kernel matrices; it never takes a
     step smaller than ``steps_for`` gives the same leg, though a short leg
     may take fewer than ``min_steps`` steps.  ``steps_per_unit`` must be
-    positive and finite, the two counts integers of at least 1.
+    positive and finite, ``min_steps`` an integer of at least 1.
     """
 
     steps_per_unit: float = 32.0
     min_steps: int = 2
-    kinetic_substeps: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.steps_per_unit < math.inf:  # also rejects NaN
             raise InvalidInput(f"steps_per_unit must be positive and finite, got {self.steps_per_unit!r}")
         _check_count("min_steps", self.min_steps)
-        _check_count("kinetic_substeps", self.kinetic_substeps)
 
     def steps_for(self, t: float) -> int:
         return max(self.min_steps, int(math.ceil(t * self.steps_per_unit)))
@@ -93,13 +83,12 @@ def _evolve(
     grid = f.grid
     dt = t / steps
     half = np.exp(-0.5 * dt * np.asarray(potential(grid.nodes), dtype=np.float64))
-    mat = kernel_matrix(m, grid, dt / scheme.kinetic_substeps)
+    mat = kernel_matrix(m, grid, dt)
     w = grid.weights
     out = f.values
     for _ in range(steps):
         out = half * out
-        for _ in range(scheme.kinetic_substeps):
-            out = mat @ (w * out)
+        out = mat @ (w * out)
         out = half * out
     return GridFunction(grid, out)
 
@@ -244,18 +233,6 @@ def _check_paths(t: float, x0: float, n_paths: int, n_steps: int) -> None:
 _FK_CHUNKS = 2
 
 
-@functools.cache
-def _fk_pool() -> ThreadPoolExecutor:
-    """The chunk workers, made on first use: one per usable CPU, at most one per chunk."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    return ThreadPoolExecutor(min(_FK_CHUNKS, cpus), thread_name_prefix="besselhardy-fk")
-
-
-# A forked child has none of the parent's pool threads: it makes its own.
-if hasattr(os, "register_at_fork"):  # not on Windows
-    os.register_at_fork(after_in_child=_fk_pool.cache_clear)
-
-
 def _path_chunk(
     m: WeightedMeasure,
     potential: Potential,
@@ -297,21 +274,23 @@ def _path_chunk(
 def _bessel_paths(
     m: WeightedMeasure, potential: Potential, t: float, x0: float, n_paths: int, n_steps: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``_path_chunk`` over all paths in ``_FK_CHUNKS`` chunks on ``_fk_pool``, joined in chunk order.
+    """``_path_chunk`` over all paths in ``_FK_CHUNKS`` chunks, one thread each, joined in chunk order.
 
     Chunk k holds n_paths // _FK_CHUNKS paths, one more for k < n_paths %
     _FK_CHUNKS, and draws from the k-th spawned child of the seed, so the
-    result is the same bits whatever the number of workers.
+    result is the same bits whatever the number of CPUs that run the
+    threads.  The threads live for this call only.
     """
     _check_paths(t, x0, n_paths, n_steps)
     potential.validate_for(m.alpha)
     sizes = [n_paths // _FK_CHUNKS + (k < n_paths % _FK_CHUNKS) for k in range(_FK_CHUNKS)]
     seeds = np.random.SeedSequence(seed).spawn(_FK_CHUNKS)
-    futures = [
-        _fk_pool().submit(_path_chunk, m, potential, t, x0, size, n_steps, child)
-        for size, child in zip(sizes, seeds)
-    ]
-    accums, ends = zip(*(fut.result() for fut in futures))
+    with ThreadPoolExecutor(_FK_CHUNKS) as pool:
+        futures = [
+            pool.submit(_path_chunk, m, potential, t, x0, size, n_steps, child)
+            for size, child in zip(sizes, seeds)
+        ]
+        accums, ends = zip(*(fut.result() for fut in futures))
     return np.concatenate(accums), np.concatenate(ends)
 
 
@@ -330,7 +309,7 @@ def feynman_kac(
     The paths are exact Bessel process transitions and the potential
     integral is the trapezoid rule along each path (``_path_chunk``).  They
     are drawn in ``_FK_CHUNKS`` = 2 chunks with their own seeded streams,
-    side by side on up to one thread per usable CPU (``_bessel_paths``);
+    side by side on one thread each (``_bessel_paths``);
     f, the mean and the stderr then see all paths in chunk order.  The bits
     of the result are fixed by the seed, n_paths, n_steps and the chunk
     count, not by the number of CPUs: identical inputs give bit-identical

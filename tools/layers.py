@@ -1,0 +1,236 @@
+"""Layer timings and output digests of one ``besselhardy`` source tree, as one JSON line.
+
+Usage:  OPENBLAS_NUM_THREADS=1 python3 tools/layers.py [--src DIR]
+
+It imports ``besselhardy`` from ``DIR`` (default: this checkout's ``src/``)
+and runs every probe.  A time is the best of ``REPEATS`` calls, in ms (us for
+matvecs).  Each probe keeps its SHA-256 digests under ``sha256``: equal
+digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
+0.5, x_max 44, ratio 300, breakpoints k/8).  Keys: ``host``, ``repeats``,
+``src_lines`` (lines of ``DIR/besselhardy/*.py``) and
+
+- ``kernel``, at n in ``SIZES`` and dt in ``STEPS`` on fresh grid-14 grids
+  (no cache hit is timed): ``build_ms`` of ``_raw_matrix``,
+  ``kernel_matrix_ms`` (build and cap), ``sha256`` and ``subnormal_entries``
+  of each raw and capped matrix, ``kept_pairs`` (nonzero raw i <= j),
+  ``cache_mb`` (``BandMatrix.nbytes``); ``matvec_us`` of ``mat @ (w * v)``,
+  ``band`` and ``dense`` (a line-aligned copy), at n in ``MATVEC_SIZES``;
+  ``bessel_evals_per_s`` on 1e6 log-uniform z in [1e-3, 1e5], and
+  ``bessel_evals_per_s_kernel_args`` on the ``bessel_evals_kernel_args``
+  arguments of one raw build (n 900, dt 1e-3); ``perturbation_ms`` and raw
+  ``perturbation_builds`` of a test-09 ``perturbation_residual`` at
+  ``s_steps`` 10 and 20 on a fresh n = 900 grid;
+- ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``)
+  and ``grid900`` (grid 14, n = 900, V = 1/x on its section of [0, 8]):
+  ``k_ms``, ``bessel_pairs`` (Bessel factors one check evaluates),
+  ``sha256`` of every entry's G values and fitted exponent;
+- ``fk``: ``feynman_kac`` at ``cli`` (20,000 paths x 200 steps, as in
+  ``besselhardy all``) and ``test08`` (40,000 x 250): ``fk_ms``,
+  ``path_steps_per_s``, ``sha256`` of the estimate and stderr, ``chunks``;
+- ``cli``: ``besselhardy all --seed N`` at the default config for N in
+  ``CLI_SEEDS``: ``sha256`` of each CSV and ``section.txt`` as
+  ``"seed N/<file>"``, and ``exit`` by seed (``summary.json`` holds timings).
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import platform
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+REPEATS = 5
+CLI_SEEDS = (0, 3)
+SIZES = (320, 900, 1400)
+STEPS = {"1e-4": 1e-4, "1e-3": 1e-3, "1/32": 1.0 / 32.0, "1": 1.0}
+MATVEC_SIZES = (900, 1400)
+MATVECS = 200
+BESSEL_EVALS = 1_000_000
+
+
+def best_ms(run) -> float:
+    """The least wall time of ``REPEATS`` calls of ``run()``, in ms."""
+    best = math.inf
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - t0)
+    return 1e3 * best
+
+
+def sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.asarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+@contextlib.contextmanager
+def recording(module, name: str, calls: list):
+    """Within the block ``module.<name>`` appends its arguments to ``calls``, then runs as before."""
+    original = getattr(module, name)
+
+    def wrapper(*args):
+        calls.append(args)
+        return original(*args)
+
+    setattr(module, name, wrapper)
+    try:
+        yield
+    finally:
+        setattr(module, name, original)
+
+
+def grid14(bh, n: int):
+    return bh.Grid.build(bh.WeightedMeasure(0.5), n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+
+
+def kernel_probe(bh) -> dict:
+    from besselhardy import kernel as km
+
+    m = bh.WeightedMeasure(0.5)
+    out: dict = {k: {} for k in ("build_ms", "kernel_matrix_ms", "kept_pairs", "subnormal_entries", "cache_mb")}
+    out.update(matvec_us={}, sha256={})
+    for n in SIZES:
+        for label, dt in STEPS.items():
+            for key, build in (("build_ms", km._raw_matrix), ("kernel_matrix_ms", bh.kernel_matrix)):
+                grids = [grid14(bh, n) for _ in range(REPEATS)]
+                out[key].setdefault(str(n), {})[label] = round(best_ms(lambda: build(m, grids.pop(), dt)), 2)
+            g = grid14(bh, n)
+            raw, band = km._raw_matrix(m, g, dt), bh.kernel_matrix(m, g, dt)
+            out["cache_mb"].setdefault(str(n), {})[label] = round(band.nbytes / 1e6, 3)
+            out["kept_pairs"][f"n={n} dt={label}"] = int(np.count_nonzero(np.triu(raw)))
+            for kind, mat in (("raw", raw), ("scaled", band.toarray())):
+                out["sha256"][f"n={n} dt={label} {kind}"] = sha256(mat)
+                tiny = (mat != 0.0) & (np.abs(mat) < np.finfo(mat.dtype).tiny)
+                out["subnormal_entries"][f"n={n} dt={label} {kind}"] = int(np.count_nonzero(tiny))
+            if n in MATVEC_SIZES:
+                dense = km._zeros_line_aligned(n * n).reshape(n, n)  # the dense cache before band storage
+                dense[...] = band.toarray()
+                w, v = g.weights, np.random.default_rng(0).uniform(0.0, 1.0, n)
+                for kind, op in (("band", band), ("dense", dense)):
+
+                    def matvecs():
+                        for _ in range(MATVECS):
+                            op @ (w * v)
+
+                    us = 1e3 * best_ms(matvecs) / MATVECS
+                    out["matvec_us"].setdefault(f"n={n} dt={label}", {})[kind] = round(us, 1)
+
+    z = np.exp(np.random.default_rng(0).uniform(math.log(1e-3), math.log(1e5), BESSEL_EVALS))
+    out["bessel_evals_per_s"] = round(1e3 * BESSEL_EVALS / best_ms(lambda: bh.bessel_i_scaled_ratio(m.kernel_order, z)))
+    calls: list = []
+    with recording(km, "bessel_i_scaled_ratio", calls):
+        km._raw_matrix(m, grid14(bh, 900), 1e-3)
+    out["bessel_evals_kernel_args"] = sum(np.size(z) for _, z in calls)
+    ms = best_ms(lambda: [bh.bessel_i_scaled_ratio(m.kernel_order, z) for _, z in calls])
+    out["bessel_evals_per_s_kernel_args"] = round(1e3 * out["bessel_evals_kernel_args"] / ms)
+
+    v = bh.Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
+    scheme = bh.SplittingScheme(steps_per_unit=16.0, min_steps=2)
+    out.update(perturbation_ms={}, perturbation_builds={})
+    for panels in (10, 20):
+        grids = [grid14(bh, 900) for _ in range(REPEATS + 1)]
+
+        def run():
+            bh.perturbation_residual(m, v, 0.5, 1.2, 2.0, grids.pop(), panels, scheme)
+
+        out["perturbation_ms"][str(panels)] = round(best_ms(run), 1)
+        builds: list = []
+        with recording(km, "_raw_matrix", builds):
+            run()
+        out["perturbation_builds"][str(panels)] = len(builds)
+    return out
+
+
+def k_probe(bh) -> dict:
+    from besselhardy import kernel as km
+
+    m = bh.WeightedMeasure(0.5)
+    v1, vpow = bh.Potential.constant(1.0), bh.Potential.power(1.0, 1.0)
+    sec1, sec_pow = bh.build_section(m, v1, bh.Interval(0.0, 4.0)), bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
+    configs = {
+        "cli": (v1, sec1, bh.Grid.build(m, 320, 30.0, 60.0, [p for d in sec1 for p in (d.a, d.b)]), 5, 16),
+        "grid900": (vpow, sec_pow, grid14(bh, 900), 6, 24),
+    }
+    out: dict = {"k_ms": {}, "bessel_pairs": {}, "sha256": {}}
+    for name, (potential, section, grid, t_count, s_nodes) in configs.items():
+
+        def run():
+            return bh.check_condition_K(m, potential, section, grid, t_count=t_count, s_nodes=s_nodes)
+
+        out["k_ms"][name] = round(best_ms(run), 1)
+        calls: list = []
+        with recording(km, "bessel_i_scaled_ratio", calls):
+            rep = run()
+        out["bessel_pairs"][name] = sum(np.size(z) for _, z in calls)
+        out["sha256"][name] = sha256(*(a for e in rep.entries for a in (e.values, np.float64(e.fitted_exponent))))
+    return out
+
+
+def fk_probe(bh) -> dict:
+    from besselhardy import semigroup
+
+    m = bh.WeightedMeasure(0.5)
+    v08 = bh.Potential(pieces=((0.0, 1.3, 0.7), (1.3, 4.1, 2.0), (4.1, 30.0, 0.4)))
+    configs = {
+        "cli": (bh.Potential.constant(1.0, (0.0, 1024.0)), lambda x: np.where(x <= 0.5, 1.0, 0.0), 0.5, 20_000, 200),
+        "test08": (v08, lambda x: np.exp(-((x - 2.0) ** 2)), 0.6, 40_000, 250),
+    }
+    out: dict = {"fk_ms": {}, "path_steps_per_s": {}, "sha256": {}}
+    for name, (potential, f, t, n_paths, n_steps) in configs.items():
+        results = []
+        ms = best_ms(lambda: results.append(bh.feynman_kac(m, potential, t, 1.0, f, n_paths, n_steps, 0)))
+        out["fk_ms"][name] = round(ms, 1)
+        out["path_steps_per_s"][name] = round(1e3 * n_paths * n_steps / ms)
+        out["sha256"][name] = sha256([results[-1].estimate, results[-1].stderr])
+    out["chunks"] = getattr(semigroup, "_FK_CHUNKS", 1)
+    return out
+
+
+def cli_probe(bh) -> dict:
+    from besselhardy.cli import main as cli_main
+
+    out: dict = {"sha256": {}, "exit": {}}
+    for seed in CLI_SEEDS:
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+            out["exit"][str(seed)] = cli_main(["all", "--seed", str(seed), "--out", tmp])
+            for path in sorted(Path(tmp).iterdir()):
+                if path.suffix == ".csv" or path.name == "section.txt":
+                    out["sha256"][f"seed {seed}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def host() -> dict:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(), "cpus": cpus}
+
+
+def py_lines(folder: Path) -> int:
+    """The lines of every ``*.py`` file under ``folder``."""
+    return sum(len(p.read_text().splitlines()) for p in sorted(folder.rglob("*.py")))
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src")
+    src = parser.parse_args().src.resolve()
+    sys.path.insert(0, str(src))
+    import besselhardy as bh
+
+    out = {"host": host() | {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, "repeats": REPEATS}
+    out["src_lines"] = py_lines(src / "besselhardy")
+    for name, probe in (("kernel", kernel_probe), ("k", k_probe), ("fk", fk_probe), ("cli", cli_probe)):
+        out[name] = probe(bh)
+    print(json.dumps(out))
+
+
+if __name__ == "__main__":
+    main()
