@@ -7,9 +7,9 @@ positive down to z = 0, so nothing overflows even for arguments of order 1e6.
 ``bessel_i_scaled`` returns ``e^{-z} I_order(z)`` as that ratio times z^order,
 with no logarithm of z, so a subnormal z keeps its leading term.
 
-Both branches exist as plain-Python scalar kernels (which the ``quad``
-integrands call) and as vectorized numpy kernels (which the array wrappers
-call).
+Both branches exist as plain-Python scalar kernels (which a scalar
+``heat_kernel`` call uses) and as vectorized numpy kernels (which the array
+wrappers call).
 
 Each element of an array kernel stops where the scalar loop would: the series
 once its last term is at most 1e-18 of its total, the Hankel expansion once

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
 
-from .errors import BalanceUnreachable, InvalidInput
+from .errors import BalanceUnreachable, InvalidInput, QuadratureBudgetExceeded
 from .grid import Grid, GridFunction
 from .hardy import Bump
-from .kernel import _aligned_span, _check_count, heat_kernel
+from .kernel import _aligned_span, _check_count, heat_kernel, quad
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
 from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through
@@ -32,6 +31,7 @@ _BALANCE_TOL = 1e-10  # find_balanced_J bisects until |balance - 1| <= this,
 _BALANCE_ITER = 200  # or for this many steps
 _RAMP_FRAC = 0.25  # each ramp of a SmoothBump spans this fraction of its support
 _WEAK_QUAD_TOL = 1e-11  # absolute and relative quad tolerance of phi_equation_residual
+_WEAK_QUAD_LIMIT = 300  # and its panel budget per integral
 _K_PROBES = 48  # check_condition_K takes its sup over at most this many nodes per interval
 
 def balance_functional(m: WeightedMeasure, potential: Potential, interval: Interval) -> float:
@@ -182,24 +182,24 @@ def phi_equation_residual(
     def grad_integrand(x):
         return test_fn.derivative(x) * profile.phi_prime(x) * x**m.alpha
 
-    term1, _ = quad(
-        grad_integrand, lo, hi, points=pts or None, epsabs=_WEAK_QUAD_TOL, epsrel=_WEAK_QUAD_TOL, limit=300
-    )
+    def v_integrand(x):
+        return test_fn(x) * profile.potential(x) * x**m.alpha
 
     vlo, vhi = max(lo, j.a), min(hi, j.b)
-    term2 = 0.0
-    if vlo < vhi:
-        vpts = [p for p in pts if vlo < p < vhi]
-
-        def v_integrand(x):
-            return test_fn(x) * profile.potential(x) * x**m.alpha
-
-        term2, _ = quad(
-            v_integrand, vlo, vhi, points=vpts or None, epsabs=_WEAK_QUAD_TOL, epsrel=_WEAK_QUAD_TOL, limit=300
+    terms = [(grad_integrand, lo, hi)] + ([(v_integrand, vlo, vhi)] if vlo < vhi else [])
+    total = 0.0
+    for integrand, a, b in terms:
+        value, abserr, converged = quad(
+            integrand, a, b, points=pts, epsabs=_WEAK_QUAD_TOL, epsrel=_WEAK_QUAD_TOL, limit=_WEAK_QUAD_LIMIT
         )
+        if not converged:
+            raise QuadratureBudgetExceeded(
+                f"weak-identity integral on [{a}, {b}] has error {abserr:.3g} after {_WEAK_QUAD_LIMIT} panels"
+            )
+        total += value
 
     boundary = test_fn(0.0) * profile.c_j / 2.0 if include_boundary_term else 0.0
-    return abs(term1 + term2 - boundary)
+    return abs(total - boundary)
 
 
 # ---------------------------------------------------------------------------
@@ -278,10 +278,10 @@ def _tail_bound(
     ball = m.ball_mass(z, math.sqrt(u))
 
     def integrand(x):
-        return math.exp(-((x - z) ** 2) / (c_up * u)) * profile.phi(x) * x**m.alpha
+        return np.exp(-((x - z) ** 2) / (c_up * u)) * profile.phi(x) * x**m.alpha
 
     hi = x_max + 30.0 * math.sqrt(u) + 10.0
-    val, _ = quad(integrand, x_max, hi, epsabs=1e-14, epsrel=1e-9, limit=100)
+    val, _, _ = quad(integrand, x_max, hi, epsabs=1e-14, epsrel=1e-9, limit=100)
     return c_const / ball * val
 
 

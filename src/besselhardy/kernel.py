@@ -58,7 +58,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bessel import _ive_ratio_scalar, bessel_i_scaled_ratio
 from .errors import InvalidInput, MixedGrids
@@ -80,11 +79,92 @@ def _check_count(name: str, n, least: int = 1) -> None:
         raise InvalidInput(f"{name} must be at least {least} and an integer, got {n!r}")
 
 
+# QUADPACK qk21: the 21-point Kronrod nodes on [-1, 1] and their weights, and
+# the weights of the 10-point Gauss rule on every second node (0 elsewhere).
+_XK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)  # fmt: skip
+_WK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208323416606, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)  # fmt: skip
+_WG = (
+    0.0, 0.066671344308688137593568809893332, 0.0, 0.149451349150580593145776339657697,
+    0.0, 0.219086362515982043995534934228163, 0.0, 0.269266719309996355091226921569469,
+    0.0, 0.295524224714752870173892994651338, 0.0,
+)  # fmt: skip
+_GK_NODES = np.array([-x for x in _XK] + list(_XK[-2::-1]))
+_GK_KRONROD = np.array(_WK + _WK[-2::-1])
+_GK_GAUSS = np.array(_WG + _WG[-2::-1])
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)
+
+
+def _gk21(f, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The G10/K21 values and QUADPACK error estimates of f on the panels [lo_k, hi_k].
+
+    f is called once, on the 21 nodes of every panel.  The sums are numpy
+    reductions, so their bits do not depend on the BLAS thread count.
+    """
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + half[:, None] * _GK_NODES
+    fx = np.asarray(f(x.ravel()), dtype=np.float64).reshape(x.shape)
+    kronrod = np.sum(fx * _GK_KRONROD, axis=1)
+    gauss = np.sum(fx * _GK_GAUSS, axis=1)
+    width = np.abs(half)
+    resabs = np.sum(np.abs(fx) * _GK_KRONROD, axis=1) * width
+    resasc = np.sum(np.abs(fx - 0.5 * kronrod[:, None]) * _GK_KRONROD, axis=1) * width
+    err = np.abs(kronrod - gauss) * width
+    scaled = resasc * np.minimum(1.0, (200.0 * err / np.where(resasc > 0.0, resasc, 1.0)) ** 1.5)
+    err = np.where(resasc > 0.0, scaled, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return kronrod * half, err
+
+
+def quad(f, a: float, b: float, points=(), epsabs: float = 1.49e-8, epsrel: float = 1.49e-8, limit: int = 50):
+    """(value, abserr, converged) of int_a^b f by adaptive G10/K21 Gauss-Kronrod quadrature.
+
+    f maps a float array to an array of the same shape.  ``points`` inside
+    (a, b) become panel edges.  Global bisection halves the panel with the
+    largest error estimate (one call of f on its 42 new nodes) until the
+    summed estimate is at most max(epsabs, epsrel |value|), which sets
+    ``converged``, or ``limit`` panels exist.  The rule, its nodes and its
+    error heuristic are QUADPACK's ``qk21``; there is no extrapolation, so
+    the integrand should be bounded.
+    """
+    edges = np.array([a, *sorted({p for p in points if a < p < b}), b], dtype=np.float64)
+    n = edges.size - 1
+    size = max(n, limit)
+    lo, hi, val, err = np.empty(size), np.empty(size), np.empty(size), np.empty(size)
+    lo[:n], hi[:n] = edges[:-1], edges[1:]
+    val[:n], err[:n] = _gk21(f, lo[:n], hi[:n])
+    while True:
+        value, abserr = float(np.sum(val[:n])), float(np.sum(err[:n]))
+        converged = abserr <= max(epsabs, epsrel * abs(value))
+        if converged or n >= limit:
+            return value, abserr, converged
+        k = int(np.argmax(err[:n]))
+        mid = 0.5 * (lo[k] + hi[k])
+        halves_lo, halves_hi = np.array([lo[k], mid]), np.array([mid, hi[k]])
+        halves_val, halves_err = _gk21(f, halves_lo, halves_hi)
+        lo[[k, n]], hi[[k, n]], val[[k, n]], err[[k, n]] = halves_lo, halves_hi, halves_val, halves_err
+        n += 1
+
+
 def _kernel(nu: float, t: float, x, y):
     """P_t(x, y), the one formula, on one pair of floats or on broadcastable float arrays.
 
-    One pair stays in plain Python floats with the scalar Bessel kernel: a
-    ``quad`` integrand calls it one point at a time, and the numpy path cost
+    One pair stays in plain Python floats with the scalar Bessel kernel, so a
+    scalar ``heat_kernel`` call does not pay for the numpy path, which cost
     it about 5x.  In arrays, pairs whose Gaussian factor g is 0.0 get +0.0
     with no Bessel evaluation; a NaN g counts as nonzero, so NaN inputs
     propagate.
@@ -333,10 +413,18 @@ def heat_kernel_mass_residual(
     y: float,
     quad_tolerance: float = 1e-10,
 ) -> MassResidualReport:
-    """|int P_t(., y) dmu - 1| by adaptive weighted quadrature, for 0 <= y < inf.
+    """|int P_t(., y) dmu - 1| by adaptive quadrature, for 0 <= y < inf.
 
-    The x^alpha endpoint weight is handled by an algebraic-weight rule on
-    (0, R); R truncates where the Gaussian factor is below 1e-16 of the peak.
+    R truncates where the Gaussian factor is below 1e-16 of the peak.  The
+    substitution u = x^(1+alpha) takes the x^alpha endpoint weight into the
+    measure:
+
+        int_0^R P_t(x, y) x^alpha dx = (1+alpha)^-1 int_0^(R^(1+alpha)) P_t(u^(1/(1+alpha)), y) du,
+
+    a bounded integrand, which ``quad`` takes on the kernel's array path.
+    ``converged`` says that ``quad`` met its tolerance, a tenth of
+    ``quad_tolerance``, and that its error estimate is below
+    ``quad_tolerance``.
     """
     _check_time(t)
     if not 0.0 <= y < math.inf:  # also rejects NaN
@@ -344,23 +432,21 @@ def heat_kernel_mass_residual(
     if quad_tolerance <= 0.0:
         raise InvalidInput("tolerance must be positive")
     nu, t, y = m.kernel_order, float(t), float(y)
+    p = 1.0 + m.alpha
 
-    def integrand(x: float) -> float:
-        return _kernel(nu, t, x, y)
+    def integrand(u: np.ndarray) -> np.ndarray:
+        return _kernel(nu, t, u ** (1.0 / p), y) / p
 
     radius = y + math.sqrt(4.0 * t * (37.0 + max(0.0, math.log1p(y / math.sqrt(t)))))
-    value, abserr, info, *rest = quad(
+    value, abserr, ok = quad(
         integrand,
         0.0,
-        radius,
-        weight="alg",
-        wvar=(m.alpha, 0.0),
+        radius**p,
         epsabs=0.1 * quad_tolerance,
         epsrel=0.1 * quad_tolerance,
         limit=_MASS_QUAD_LIMIT,
-        full_output=True,
     )
-    converged = not rest and abserr < quad_tolerance
+    converged = ok and abserr < quad_tolerance
     return MassResidualReport(abs(value - 1.0), value, radius, abserr, converged)
 
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -139,3 +142,12 @@ class TestSuites:
         names = [c["name"] for c in summary["checks"]]
         assert "semigroup.constant_potential" in names
         assert all(type(c["passed"]) is bool for c in summary["checks"])
+
+
+def test_import_loads_no_scipy():
+    # scipy costs most of an import of the CLI; the library must not need it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, besselhardy, besselhardy.cli; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -12,6 +12,7 @@ from besselhardy import (
     GridFunction,
     Interval,
     Potential,
+    QuadratureBudgetExceeded,
     WeightedMeasure,
     build_section,
     check_condition_D,
@@ -141,6 +142,66 @@ class TestWeakIdentity:
         without = phi_equation_residual(profile_v1, psi, include_boundary_term=False)
         assert with_term < 1e-8
         assert without == pytest.approx(profile_v1.c_j / 2.0, rel=1e-6)
+
+    def test_unconverged_term_raises(self, profile_v1, monkeypatch):
+        monkeypatch.setattr(conditions_module, "_WEAK_QUAD_TOL", 1e-300)
+        with pytest.raises(QuadratureBudgetExceeded):
+            phi_equation_residual(profile_v1, SmoothBump(profile_v1.balanced.a, profile_v1.balanced.b))
+
+
+def _scipy_quad(f, a, b, points=(), epsabs=1.49e-8, epsrel=1.49e-8, limit=50):
+    """QUADPACK through scipy with the signature of ``kernel.quad``, one point at a time."""
+    value, abserr = quad(lambda x: float(f(x)), a, b, points=list(points) or None, epsabs=epsabs, epsrel=epsrel, limit=limit)
+    return value, abserr, True
+
+
+def _record(calls):
+    """A ``quad`` that keeps each call's value next to QUADPACK's on the same integrand."""
+    own = conditions_module.quad
+
+    def recording(*args, **kwargs):
+        result = own(*args, **kwargs)
+        calls.append((result[0], _scipy_quad(*args, **kwargs)[0]))
+        return result
+
+    return recording
+
+
+@pytest.fixture(scope="module")
+def sweep_profiles():
+    """The four profiles of the ``sweep_cold`` bench workload."""
+    sec1 = build_section(M, V1, Interval(0.0, 4.0))
+    sec_pow = build_section(M, VPOW, Interval(0.0, 8.0))
+    hosts = [(V1, sec1.intervals[0]), (V1, sec1.intervals[1]), (VPOW, sec_pow.intervals[1]), (VPOW, sec_pow.intervals[5])]
+    return [(v, find_balanced_J(M, v, host)) for v, host in hosts]
+
+
+class TestQuadratureOracle:
+    def test_weak_integrals_match_quadpack(self, sweep_profiles, monkeypatch):
+        calls = []
+        monkeypatch.setattr(conditions_module, "quad", _record(calls))
+        for _, prof in sweep_profiles:
+            j = prof.balanced
+            phi_equation_residual(prof, SmoothBump(j.a, j.b))
+            phi_equation_residual(prof, LeftPlateauBump(0.25 * j.a + 1e-3, j.b))
+        assert len(calls) == 16
+        for ours, theirs in calls:
+            assert abs(ours - theirs) < 1e-13
+
+    def test_tail_bounds_match_quadpack(self, sweep_profiles, monkeypatch):
+        cases = [
+            (prof, prof.host.to_interval().center, u, x_max)
+            for _, prof in sweep_profiles
+            for u in prof.host.length**2 * np.geomspace(0.05, 64.0, 9)
+            for x_max in (8.0, 30.0)
+        ]
+        ours = [conditions_module._tail_bound(M, *case) for case in cases]
+        monkeypatch.setattr(conditions_module, "quad", _scipy_quad)
+        wants = [conditions_module._tail_bound(M, *case) for case in cases]
+        checked = [(own, want) for own, want in zip(ours, wants) if want >= 1e-12]
+        assert len(checked) >= 10
+        for own, want in checked:
+            assert own == pytest.approx(want, rel=1e-7)
 
 
 class TestSuperharmonic:

@@ -117,6 +117,80 @@ class TestNormalization:
         rep = heat_kernel_mass_residual(WeightedMeasure(0.5), 1.0, 1.0)
         assert rep.truncation_radius > 1.0 + 10.0
 
+    def test_one_panel_budget_is_not_converged(self, monkeypatch):
+        monkeypatch.setattr(kernel_module, "_MASS_QUAD_LIMIT", 1)
+        assert not heat_kernel_mass_residual(WeightedMeasure(0.5), 1.0, 1.0).converged
+
+    def test_matches_the_algebraic_weight_rule(self):
+        # QUADPACK's x^alpha endpoint rule as the oracle, on a seeded sweep;
+        # both are asked for 1e-11, a tenth of the default tolerance
+        rng = np.random.default_rng(20)
+        for alpha in (0.05, 0.3, 0.5, 0.9):
+            m = WeightedMeasure(alpha)
+            cases = [(math.exp(rng.uniform(math.log(1e-3), math.log(100.0))), rng.uniform(0.0, 10.0)) for _ in range(6)]
+            for t, y in [(1e-3, 0.0), (100.0, 10.0), *cases]:
+                rep = heat_kernel_mass_residual(m, t, y)
+                want, _ = quad(
+                    lambda x: kernel_module._kernel(m.kernel_order, t, x, y),  # noqa: B023
+                    0.0,
+                    rep.truncation_radius,
+                    weight="alg",
+                    wvar=(alpha, 0.0),
+                    epsabs=1e-11,
+                    epsrel=1e-11,
+                    limit=250,
+                )
+                assert rep.converged
+                assert abs(rep.value - want) < 1e-11, (alpha, t, y)
+
+
+class TestGaussKronrod:
+    def test_degree_31_is_exact_on_one_panel(self):
+        calls = []
+
+        def power(degree):
+            def f(x):
+                calls.append(x.size)
+                return x**degree
+
+            return f
+
+        for degree in range(32):
+            value, _, _ = kernel_module.quad(power(degree), -0.5, 1.5, limit=1)
+            want = (1.5 ** (degree + 1) - (-0.5) ** (degree + 1)) / (degree + 1)
+            assert value == pytest.approx(want, rel=2e-15), degree
+        assert calls == [21] * 32
+
+    def test_points_become_panel_edges(self):
+        nodes = []
+
+        def step(x):
+            nodes.append(x)
+            return np.where(x < 0.3, 1.0, 2.0)
+
+        value, abserr, converged = kernel_module.quad(step, 0.0, 1.0, points=(0.7, 0.3, 5.0), limit=3)
+        assert converged and value == pytest.approx(1.7, rel=1e-15)
+        (x,) = nodes  # one call: three panels, no split
+        panels = x.reshape(3, 21)
+        edges = [(0.0, 0.3), (0.3, 0.7), (0.7, 1.0)]
+        assert all(a < p.min() and p.max() < b for p, (a, b) in zip(panels, edges))
+
+    def test_split_calls_f_on_42_new_nodes(self):
+        sizes = []
+
+        def kink(x):
+            sizes.append(x.size)
+            return np.abs(x - 1.0 / 3.0)
+
+        value, abserr, converged = kernel_module.quad(kink, 0.0, 1.0, epsabs=1e-12, epsrel=0.0, limit=200)
+        assert converged and abs(value - 5.0 / 18.0) <= abserr < 1e-12
+        assert sizes[0] == 21 and set(sizes[1:]) == {42}
+
+    def test_unreachable_tolerance_within_limit_is_not_converged(self):
+        value, abserr, converged = kernel_module.quad(np.sqrt, 0.0, 1.0, epsabs=1e-300, epsrel=0.0, limit=1)
+        assert not converged and abserr > 0.0
+        assert value == pytest.approx(2.0 / 3.0, rel=1e-3)
+
 
 class TestChapmanKolmogorov:
     @pytest.mark.parametrize("x,y,t,s", [(1.0, 2.0, 0.3, 0.5), (0.2, 0.3, 0.05, 0.02), (5.0, 1.0, 1.0, 2.0)])

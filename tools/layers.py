@@ -29,7 +29,16 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``path_steps_per_s``, ``sha256`` of the estimate and stderr, ``chunks``;
 - ``cli``: ``besselhardy all --seed N`` at the default config for N in
   ``CLI_SEEDS``: ``sha256`` of each CSV and ``section.txt`` as
-  ``"seed N/<file>"``, and ``exit`` by seed (``summary.json`` holds timings).
+  ``"seed N/<file>"``, and ``exit`` by seed (``summary.json`` holds timings);
+- ``import``: ``import besselhardy.cli`` in ``REPEATS`` fresh interpreters:
+  ``import_ms`` (the best), ``peak_rss_mb`` (the least ``VmHWM`` after it,
+  Linux) and ``scipy_modules`` (the sorted ``scipy*`` modules it loaded);
+- ``quad``: the adaptive quadratures of ``besselhardy all`` at the default
+  config: ``mass`` (its 6 ``heat_kernel_mass_residual`` calls), ``weak``
+  (its 2 ``phi_equation_residual`` calls) and ``tail`` (the 9 ``_tail_bound``
+  bars of its superharmonic sweep): ``ms`` of each group and ``sha256`` of
+  its values (the mass residuals and ``converged`` flags, the residuals, the
+  bars).
 """
 
 from __future__ import annotations
@@ -42,6 +51,7 @@ import json
 import math
 import os
 import platform
+import subprocess
 import sys
 import tempfile
 import time
@@ -208,6 +218,57 @@ def cli_probe(bh) -> dict:
     return out
 
 
+def import_probe(bh) -> dict:
+    code = (
+        "import json, sys, time\n"
+        "t0 = time.perf_counter()\n"
+        "import besselhardy.cli\n"
+        "ms = 1e3 * (time.perf_counter() - t0)\n"
+        # VmHWM, the peak RSS of this process image: ru_maxrss keeps the
+        # launching process's peak across the exec of a vfork
+        "kb = next(int(line.split()[1]) for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+        "print(json.dumps([ms, kb / 1024, sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(bh.__file__).resolve().parents[1]))
+    cmd = [sys.executable, "-c", code]
+    runs = [json.loads(subprocess.run(cmd, env=env, capture_output=True, check=True).stdout) for _ in range(REPEATS)]
+    return {
+        "import_ms": round(min(ms for ms, _, _ in runs), 1),
+        "peak_rss_mb": round(min(rss for _, rss, _ in runs), 1),
+        "scipy_modules": runs[0][2],
+    }
+
+
+def quad_probe(bh) -> dict:
+    from besselhardy import cli, conditions, semigroup
+
+    cfg = cli.RunConfig()
+    m = cfg.measure
+    section = bh.build_section(m, cfg.potential, cfg.window)
+    grid = cli._grid_for(cfg, section)
+    host = section.intervals[min(1, len(section.intervals) - 1)]
+    profile = bh.find_balanced_J(m, cfg.potential, host)
+    z = float(grid.nodes[grid.index_of(host.to_interval().center)])
+    us = semigroup.step_lattice(host.length**2 * np.geomspace(0.05, 64.0, 9))[0]
+    j = profile.balanced
+    bumps = (conditions.SmoothBump(j.a, j.b), conditions.LeftPlateauBump(0.25 * j.a + 1e-3, j.b))
+
+    def mass():
+        reps = [bh.heat_kernel_mass_residual(m, t, y, 1e-10) for t in (0.1, 1.0, 10.0) for y in (0.5, 2.0)]
+        return [r.residual for r in reps] + [float(r.converged) for r in reps]
+
+    groups = {
+        "mass": mass,
+        "weak": lambda: [bh.phi_equation_residual(profile, bump) for bump in bumps],
+        "tail": lambda: [conditions._tail_bound(m, profile, z, float(u), grid.x_max) for u in us],
+    }
+    out: dict = {"ms": {}, "sha256": {}}
+    for name, run in groups.items():
+        out["ms"][name] = round(best_ms(run), 2)
+        out["sha256"][name] = sha256(np.array(run()))
+    return out
+
+
 def host() -> dict:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(), "cpus": cpus}
@@ -227,7 +288,8 @@ def main() -> None:
 
     out = {"host": host() | {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, "repeats": REPEATS}
     out["src_lines"] = py_lines(src / "besselhardy")
-    for name, probe in (("kernel", kernel_probe), ("k", k_probe), ("fk", fk_probe), ("cli", cli_probe)):
+    probes = {"kernel": kernel_probe, "k": k_probe, "fk": fk_probe, "cli": cli_probe, "import": import_probe, "quad": quad_probe}
+    for name, probe in probes.items():
         out[name] = probe(bh)
     print(json.dumps(out))
 
