@@ -11,13 +11,17 @@ Both branches exist as plain-Python scalar kernels (which a scalar
 ``heat_kernel`` call uses) and as vectorized numpy kernels (which the array
 wrappers call).
 
-Each element of an array kernel stops where the scalar loop would: the series
-once its last term is at most 1e-18 of its total, the Hankel expansion once
-its terms stop shrinking or the same test holds.  Finished elements leave the
-loop whenever at least half the active ones are done.  No bit moves against
-running every element until the slowest has converged: every later term is
-smaller again, under half an ulp of the total, so round-to-nearest would add
-nothing, and each remaining element sees the same float operations.
+Each element of an array kernel is done once the scalar loop would have
+stopped: the series once its last term is at most 1e-18 of its total, the
+Hankel expansion once its terms stop shrinking (from then on its total is
+frozen) or the same test holds.  The array loops compute each term in place in
+buffers made before the loop and test for done elements every
+``_CHECK_EVERY``-th term only; finished elements leave the loop at such a
+test when at least half the active ones are done.  No bit moves against
+running every element until the slowest has converged: every term past an
+element's stop is smaller again, under half an ulp of the total, so
+round-to-nearest adds nothing, and each remaining element sees the same float
+operations.
 """
 
 import math
@@ -33,6 +37,7 @@ SERIES_ASYM_SEAM = 30.0
 
 _MAX_SERIES_TERMS = 260
 _MAX_ASYM_TERMS = 40
+_CHECK_EVERY = 4  # terms between an array loop's convergence checks
 _LN2 = math.log(2.0)
 
 
@@ -79,7 +84,7 @@ def _ive_ratio_scalar(order: float, z: float) -> float:
 
 
 def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
-    """Array form of ``_series_sum``; each element stops at its own last term.
+    """Array form of ``_series_sum``; each element stops at or after its own last term.
 
     Past an element's stop every later term is smaller and below 1e-18 of
     its total, under half an ulp, so summing on would leave the total as is.
@@ -89,10 +94,14 @@ def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
     total = term.copy()
     out = np.empty_like(total)
     idx = np.arange(z.size)
+    step, bound, done = np.empty_like(total), np.empty_like(total), np.empty(z.shape, dtype=bool)
     for m in range(1, _MAX_SERIES_TERMS):
-        term = term * (q / (m * (m + order)))
+        np.divide(q, m * (m + order), out=step)
+        term *= step
         total += term
-        done = term <= 1e-18 * total  # stays true: the terms only shrink from here
+        if m % _CHECK_EVERY:
+            continue
+        np.less_equal(term, np.multiply(total, 1e-18, out=bound), out=done)  # stays true: the terms only shrink
         n_done = np.count_nonzero(done)
         if 2 * n_done >= done.size:
             out[idx[done]] = total[done]
@@ -100,6 +109,7 @@ def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
                 return out
             keep = ~done
             idx, q, term, total = idx[keep], q[keep], term[keep], total[keep]
+            step, bound, done = step[: idx.size], bound[: idx.size], done[: idx.size]
     out[idx] = total
     return out
 
@@ -107,10 +117,10 @@ def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
 def _asym_factor_numpy(order: float, z: np.ndarray) -> np.ndarray:
     """Array form of ``_asym_factor``; each element stops on its own.
 
-    An element is done once its terms stop shrinking (it is dead and its
-    total frozen) or its last term is below 1e-18 of its total; any later
-    term the scalar loop would still add is smaller again, under half an ulp.
-    A done element gets prev = -1, so it stays frozen until it is compacted.
+    An element dies once its terms stop shrinking: it gets prev = -1, so its
+    total stays frozen.  It is done once dead or once its last term is below
+    1e-18 of its total; any later term the scalar loop would still add is
+    smaller again, under half an ulp.
     """
     mu4 = 4.0 * order * order
     term = np.ones_like(z)
@@ -118,13 +128,21 @@ def _asym_factor_numpy(order: float, z: np.ndarray) -> np.ndarray:
     prev = np.ones_like(z)
     out = np.empty_like(z)
     idx = np.arange(z.size)
+    a, bound = np.empty_like(z), np.empty_like(z)
+    alive, done = np.empty(z.shape, dtype=bool), np.empty(z.shape, dtype=bool)
     for k in range(_MAX_ASYM_TERMS):
-        term = term * (-(mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1))) / z
-        a = np.abs(term)
-        alive = a < prev
-        total = np.where(alive, total + term, total)
-        prev = np.where(alive & ~(a <= 1e-18 * np.abs(total)), a, -1.0)
-        done = prev < 0.0
+        term *= -(mu4 - (2 * k + 1) ** 2) / (8.0 * (k + 1))
+        term /= z
+        np.abs(term, out=a)
+        np.less(a, prev, out=alive)
+        np.add(total, term, out=total, where=alive)
+        np.copyto(a, -1.0, where=np.logical_not(alive, out=alive))
+        prev, a = a, prev  # prev is now |term|, or -1 where the element is dead
+        if (k + 1) % _CHECK_EVERY:
+            continue
+        np.abs(total, out=bound)
+        bound *= 1e-18
+        np.less_equal(prev, bound, out=done)  # dead, or its last term is below 1e-18 of its total
         n_done = np.count_nonzero(done)
         if 2 * n_done >= done.size:
             out[idx[done]] = total[done]
@@ -132,6 +150,7 @@ def _asym_factor_numpy(order: float, z: np.ndarray) -> np.ndarray:
                 return out
             keep = ~done
             idx, z, term, total, prev = idx[keep], z[keep], term[keep], total[keep], prev[keep]
+            a, bound, alive, done = (buf[: idx.size] for buf in (a, bound, alive, done))
     out[idx] = total
     return out
 

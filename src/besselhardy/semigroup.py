@@ -13,11 +13,13 @@ Two independent realizations:
 
 * A Feynman-Kac Monte Carlo estimator over the Bessel process of dimension
   alpha + 1, simulated by exact squared-Bessel transitions (noncentral
-  chi-square); no SDE discretization touches the singular drift at 0.  The
-  paths are drawn in a fixed number of chunks, each from its own child of
-  the seed's ``SeedSequence``, on a thread each; the estimate's bits are
-  fixed by the seed, the path and step counts and the chunk count, and not
-  by how many CPUs draw them.
+  chi-square); no SDE discretization touches the singular drift at 0.  Each
+  transition is drawn as its Gaussian part plus its chi-square part, the
+  latter from a gamma and a uniform variate (``_path_chunk``).  The paths
+  are drawn in a fixed number of chunks, each from its own child of the
+  seed's ``SeedSequence``, on a thread each; the estimate's bits are fixed
+  by the seed, the path and step counts and the chunk count, and not by how
+  many CPUs draw them.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ def _check_paths(t: float, x0: float, n_paths: int, n_steps: int) -> None:
 # child of SeedSequence(seed).spawn(_FK_CHUNKS).  A constant, not the CPU
 # count, so that the draws depend only on (seed, n_paths, n_steps).  On a
 # 2-vCPU host, medians of six runs of 20,000 x 200 / 40,000 x 250 paths
-# took 470 / 1306 ms in one chunk, 271 / 730 ms in 2, 306 / 797 ms in 4 and
-# 363 / 853 ms in 8: each chunk step costs some Python under the GIL.
+# took 216-257 / 609-680 ms in one chunk, 134-140 / 449-460 ms in 2,
+# 158-212 / 461-468 ms in 4 and 369-383 / 869-1014 ms in 8: each chunk step
+# costs some Python under the GIL.
 _FK_CHUNKS = 2
 
 
@@ -246,25 +249,46 @@ def _path_chunk(
 
     B is the Bessel process generated by the weighted Laplacian; its square
     is a squared Bessel process of dimension alpha + 1 run at double speed,
-    so each of the ``n_steps`` steps draws an exact noncentral chi-square
-    transition from ``default_rng(seed)``.  It runs on a pool thread, so it
-    calls nothing but numpy, the potential and its own generator (numpy
-    releases the GIL inside the draw): no library function that a tracer
-    such as ``bench/tracer.py`` wraps, since a tracer's span stack belongs
-    to one thread.  It sets its own floating-point error state.
+    so a step of dt moves B from r to sqrt(s X) with s = 2 dt and X
+    noncentral chi-square with alpha + 1 degrees of freedom and
+    noncentrality r^2 / s.  That is X = (r / sqrt(s) + Z)^2 + chi^2_alpha,
+    and chi^2_alpha = 2 Gamma(alpha / 2) = 2 G U^(2 / alpha), since
+    Gamma(a) = Gamma(a + 1) U^(1 / a).  So each of the ``n_steps`` steps
+    draws G ~ Gamma(alpha / 2 + 1), U ~ Uniform(0, 1) and Z ~ N(0, 1) per
+    path from ``default_rng(seed)``, in that order, into buffers of the
+    chunk's size, and sets r' = sqrt((r + sqrt(s) Z)^2 + 2 s G U^(2 / alpha)).
+    The transition is exact.  ``Generator.noncentral_chisquare`` draws the
+    same law, but with an array noncentrality it costs 65-100 ns a draw on a
+    2-vCPU x86 host, against about 45 ns for the three flat draws (the shape
+    of G is at least 1, so its draw avoids numpy's slower small-shape gamma
+    path).
+
+    It runs on a pool thread, so it calls nothing but numpy, the potential
+    and its own generator (numpy releases the GIL inside the draws): no
+    library function that a tracer such as ``bench/tracer.py`` wraps, since
+    a tracer's span stack belongs to one thread.  It sets its own
+    floating-point error state.
     """
     rng = np.random.default_rng(seed)
-    dim = m.alpha + 1.0
     dt = t / n_steps
     s = 2.0 * dt
-    ysq = np.full(n_paths, x0 * x0)
-    r = np.sqrt(ysq)
+    shape, expo = 0.5 * m.alpha + 1.0, 2.0 / m.alpha
+    r = np.full(n_paths, float(x0))
     accum = np.zeros(n_paths)
+    gam, uni, nor = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
     with np.errstate(over="ignore"):
         v_prev = np.asarray(potential(r), dtype=np.float64)
         for _ in range(n_steps):
-            ysq = s * rng.noncentral_chisquare(dim, ysq / s, size=n_paths)
-            r = np.sqrt(ysq)
+            rng.standard_gamma(shape, out=gam)
+            rng.random(out=uni)
+            rng.standard_normal(out=nor)
+            gam *= 2.0 * s
+            gam *= np.power(uni, expo, out=uni)  # s chi^2_alpha
+            nor *= math.sqrt(s)
+            nor += r
+            np.square(nor, out=nor)
+            nor += gam
+            np.sqrt(nor, out=r)
             v_cur = np.asarray(potential(r), dtype=np.float64)
             accum += (0.5 * dt) * (v_prev + v_cur)
             v_prev = v_cur

@@ -160,6 +160,16 @@ def global_break_asym(order, z):
     return total
 
 
+def assert_matches_global_break(order, z):
+    got = bessel_i_scaled_ratio(order, z), bessel_i_scaled(order, z)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bessel_module, "_series_sum_numpy", global_break_series)
+        mp.setattr(bessel_module, "_asym_factor_numpy", global_break_asym)
+        want = bessel_i_scaled_ratio(order, z), bessel_i_scaled(order, z)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w, equal_nan=True)
+
+
 SPECIAL_Z = [0.0, 1e-300, float(np.nextafter(SERIES_ASYM_SEAM, 0.0)), SERIES_ASYM_SEAM,
              float(np.nextafter(SERIES_ASYM_SEAM, 60.0)), math.nan]
 
@@ -181,11 +191,14 @@ class TestPerElementTermination:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_global_break(self, order, z):
-        z = np.array(z)
-        got = bessel_i_scaled_ratio(order, z), bessel_i_scaled(order, z)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bessel_module, "_series_sum_numpy", global_break_series)
-            mp.setattr(bessel_module, "_asym_factor_numpy", global_break_asym)
-            want = bessel_i_scaled_ratio(order, z), bessel_i_scaled(order, z)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w, equal_nan=True)
+        assert_matches_global_break(order, np.array(z))
+
+    @pytest.mark.parametrize("order", [-0.45, -0.25, 0.5, 2.5, 20.0])
+    def test_matches_global_break_on_a_shuffled_kernel_size_array(self, order):
+        # kernel-build sizes, so the checks between terms and the compactions
+        # see thousands of elements that finish in no particular order.  At
+        # order 20 the Hankel terms first grow, which kills the element, and
+        # later shrink again, which must not revive it
+        rng = np.random.default_rng(2016)
+        z = np.concatenate([10.0 ** rng.uniform(-12.0, 5.0, 4990), np.zeros(10)])
+        assert_matches_global_break(order, rng.permutation(z))

@@ -315,20 +315,21 @@ class TestFeynmanKac:
             with pytest.raises(QuadratureBudgetExceeded):
                 feynman_kac(m_half, nasty, 1.0, 0.5, lambda x: np.ones_like(x), 200, 40, seed=5)
 
-    def test_besq_marginal_matches_kernel(self, m_half):
-        # single exact transition; compare against the kernel CDF
+    def test_besq_marginal_matches_kernel(self):
+        # one exact transition, or eight composed; compare against the kernel
+        # CDF.  At alpha 0.05 the chi-square part 4 dt G U^40 of a step is
+        # mostly tiny, and 0 where U^40 underflows
         t, x0, n = 0.4, 1.0, 20000
-        samples = besq_terminal_samples(m_half, t, x0, n, 1, seed=6)
         xs = np.linspace(1e-4, 8.0, 4000)
-        dens = heat_kernel(m_half, t, x0, xs) * xs**m_half.alpha
-        cdf_grid = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
-        cdf_grid /= cdf_grid[-1]
-
-        def cdf(v):
-            return np.interp(v, xs, cdf_grid)
-
-        stat = kstest(samples, cdf).statistic
-        assert stat < 1.63 / math.sqrt(n)
+        for alpha in (0.05, 0.5, 3.0):
+            m = WeightedMeasure(alpha)
+            dens = heat_kernel(m, t, x0, xs) * xs**m.alpha
+            cdf_grid = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(xs))])
+            cdf_grid /= cdf_grid[-1]
+            for n_steps in (1, 8):
+                samples = besq_terminal_samples(m, t, x0, n, n_steps, seed=6)
+                stat = kstest(samples, lambda v: np.interp(v, xs, cdf_grid)).statistic
+                assert stat < 1.63 / math.sqrt(n), (alpha, n_steps, stat)
 
     def test_grid_cross_validation(self, m_half, grid_half):
         v = piecewise_v()
@@ -348,8 +349,11 @@ def serial_paths(m, potential, t, x0, n_paths, n_steps, seed):
     """Potential integrals and end points of the chunked sampler, drawn one chunk after another.
 
     Chunk k holds n_paths // K paths, one more for k < n_paths % K, and
-    draws exact squared-Bessel transitions from the k-th spawned child of
-    the seed.
+    draws from the k-th spawned child of the seed.  Each step draws
+    G ~ Gamma(alpha / 2 + 1), U ~ Uniform(0, 1) and Z ~ N(0, 1) for every
+    path, in that order, and moves r to sqrt((r + sqrt(2 dt) Z)^2 + 4 dt G U^(2 / alpha)):
+    the exact squared-Bessel transition, split into its Gaussian and its
+    chi-square part.
     """
     k_chunks = semigroup_module._FK_CHUNKS
     dt = t / n_steps
@@ -357,16 +361,19 @@ def serial_paths(m, potential, t, x0, n_paths, n_steps, seed):
     for k, child in enumerate(np.random.SeedSequence(seed).spawn(k_chunks)):
         rng = np.random.default_rng(child)
         size = n_paths // k_chunks + (k < n_paths % k_chunks)
-        ysq = np.full(size, x0 * x0)
-        v_prev = potential(np.sqrt(ysq))
+        r = np.full(size, x0)
+        v_prev = potential(r)
         accum = np.zeros(size)
         for _ in range(n_steps):
-            ysq = 2.0 * dt * rng.noncentral_chisquare(m.alpha + 1.0, ysq / (2.0 * dt), size=size)
-            v_cur = potential(np.sqrt(ysq))
+            g = rng.standard_gamma(0.5 * m.alpha + 1.0, size=size)
+            u = rng.random(size)
+            z = rng.standard_normal(size)
+            r = np.sqrt((r + math.sqrt(2.0 * dt) * z) ** 2 + (4.0 * dt) * g * u ** (2.0 / m.alpha))
+            v_cur = potential(r)
             accum += (0.5 * dt) * (v_prev + v_cur)
             v_prev = v_cur
         accums.append(accum)
-        ends.append(np.sqrt(ysq))
+        ends.append(r)
     return np.concatenate(accums), np.concatenate(ends)
 
 
