@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kernel
 from .errors import BalanceUnreachable, InvalidInput, QuadratureBudgetExceeded
 from .grid import Grid, GridFunction
 from .hardy import Bump
@@ -385,7 +386,14 @@ def check_condition_K(
     which absorbs the integrable s^{-(1-alpha)/2} blow-up near s = 0.
     The y-sum runs over the grid nodes of I***, widened to the aligned span
     of ``kernel._aligned_span``: the kernel is evaluated on those columns
-    only, and every G is the full-width sum bit for bit.  An interval whose
+    only.  The t_count x s_nodes kernel rows of an interval (probes x span
+    pairs per node s) come from one ``heat_kernel`` call per group of
+    consecutive nodes, at most ``kernel._BLOCK_PAIRS // 2`` pairs and at
+    least one node a group, and each group is summed into the G of its times
+    before the next is evaluated.  Every node keeps its own gemv with the
+    weights and its place in the sum, and a time array gives each node the
+    bits of its scalar call, so every G is the full-width per-node sum bit
+    for bit at any group size.  An interval whose
     I*** holds no grid node raises InvalidInput; one where V vanishes on
     I***, so G = 0, passes as vacuous.
     """
@@ -414,17 +422,23 @@ def check_condition_K(
             probes = probes[np.linspace(0, probes.size - 1, _K_PROBES).round().astype(int)]
         t0 = d.length**2
         ts = t0 * 2.0 ** (-np.arange(t_count, dtype=float))
-        gs = np.empty(ts.size)
-        for i, t in enumerate(ts):
-            u_hi = math.sqrt(2.0 * t)
-            us = 0.5 * u_hi * (gl_u + 1.0)
-            ws = 0.5 * u_hi * gl_w
-            acc = np.zeros(probes.size)
-            for u, w_u in zip(us, ws):
-                s = u * u
-                rows = heat_kernel(m, s, probes[:, None], cols)
-                acc += (2.0 * u * w_u) * (rows @ weight_vec)
-            gs[i] = float(acc.max())
+        u_hi = np.sqrt(2.0 * ts)[:, None]
+        us = 0.5 * u_hi * (gl_u + 1.0)  # row i: the nodes in u = sqrt(s) on [0, sqrt(2 t_i)]
+        ws = 0.5 * u_hi * gl_w
+        s_all, coef = (us * us).ravel(), (2.0 * us * ws).ravel()
+        acc = np.zeros((ts.size, probes.size))
+        # Half the kernel_matrix block budget, 32,768 pairs.  Each group is
+        # summed in before the next is evaluated, so its arrays set the peak:
+        # at the CLI config the tracemalloc peak of one check was 0.5 MB with
+        # one call per node, 32.0 MB with one call per interval, 9.2 MB with
+        # groups of 65,536 pairs and 4.9 MB with 32,768, both in 62-67 ms;
+        # one kernel_matrix build at dt = 1 on that grid peaks at 6.6 MB.
+        group = max(1, kernel._BLOCK_PAIRS // 2 // (probes.size * (c1 - c0)))
+        for k0 in range(0, s_all.size, group):
+            rows = heat_kernel(m, s_all[k0 : k0 + group, None, None], probes[:, None], cols)
+            for k, row in enumerate(rows, k0):
+                acc[k // s_nodes] += coef[k] * (row @ weight_vec)
+        gs = acc.max(axis=1)
         threshold = (
             (1.0 - m.alpha) / 2.0 - 0.1 if base.a <= 2.0 * base.length else 0.5 - 0.1
         )

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,13 @@ from besselhardy import (
     enlarge,
     find_balanced_J,
     heat_kernel,
+    kernel_matrix,
     phi_equation_residual,
     schrodinger_apply,
 )
 from besselhardy import conditions as conditions_module
+from besselhardy import kernel as kernel_module
+from besselhardy.cli import RunConfig, _grid_for
 from besselhardy.conditions import _K_PROBES, LeftPlateauBump, SmoothBump, balance_functional
 from besselhardy.grid import Grid
 from besselhardy.section import ProperSection
@@ -410,12 +414,55 @@ class TestConditionKSpan:
         d = DyadicInterval(0, 3) if where == "inside" else DyadicInterval(2, 9)  # [3, 4] or [36, 40]
         c0, c1 = star3_span(grid, d, 1.2)
         assert (c0, c1) != (0, len(grid)) and (c1 == len(grid)) == (where == "reaching x_max")
-        widths = []
+        widths, times = [], []
 
         def spy(m, t, x, y):
             widths.append(np.shape(y)[-1])
+            times.append(np.size(t))
             return heat_kernel(m, t, x, y)
 
         monkeypatch.setattr(conditions_module, "heat_kernel", spy)
         check_condition_K(M, V1, lone_section(d, 1.2), grid, [d], t_count=3, s_nodes=4)
-        assert len(widths) == 3 * 4 and max(widths) <= c1 - c0
+        assert sum(times) == 3 * 4 and max(widths) <= c1 - c0
+
+    @pytest.mark.parametrize("config", ["cli", "grid 900, V = 1/x"])
+    def test_block_size_moves_no_bit(self, monkeypatch, config):
+        # one node per call, groups that split nothing evenly, the default
+        # and one call per interval
+        if config == "cli":
+            cfg = RunConfig()
+            section = build_section(cfg.measure, cfg.potential, cfg.window)
+            args = (cfg.measure, cfg.potential, section, _grid_for(cfg, section))
+            kw = dict(t_count=5, s_nodes=16)
+        else:
+            section = build_section(M, VPOW, Interval(0.0, 8.0))
+            grid = Grid.build(M, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+            args, kw = (M, VPOW, section, grid), dict(t_count=6, s_nodes=24)
+        got = []
+        for pairs in (1, 97, 1 << 16, 1 << 20):
+            monkeypatch.setattr(kernel_module, "_BLOCK_PAIRS", pairs)
+            rep = check_condition_K(*args, **kw)
+            got.append(
+                [(e.label, e.xs.tobytes(), e.values.tobytes(), e.fitted_exponent, e.passed, e.extras) for e in rep.entries]
+            )
+        assert all(entries == got[0] for entries in got[1:])
+
+    def test_peak_memory_is_at_most_one_kernel_matrix_build(self):
+        # the kernel rows come in bounded groups, each summed in before the
+        # next, so one check at the CLI config needs no more memory than one
+        # kernel_matrix build at dt = 1 on its grid
+        cfg = RunConfig()
+        section = build_section(cfg.measure, cfg.potential, cfg.window)
+        grid = _grid_for(cfg, section)
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        build = peak(lambda: kernel_matrix(cfg.measure, grid, 1.0))
+        check = peak(lambda: check_condition_K(cfg.measure, cfg.potential, section, grid, t_count=5, s_nodes=16))
+        assert check <= build

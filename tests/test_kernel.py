@@ -102,6 +102,28 @@ class TestPointwise:
         v = heat_kernel(m, 1e-3, 10.0, 10.0)  # xy/2t = 5e4
         assert math.isfinite(v) and v > 0.0
 
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=3.0),
+        ts=st.lists(st.floats(min_value=-6.0, max_value=3.0).map(lambda e: 10.0**e), min_size=1, max_size=5),
+        x=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=6),
+        y=st.lists(st.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_time_array_is_the_stack_of_scalar_times(self, alpha, ts, x, y):
+        m = WeightedMeasure(alpha)
+        ts = np.array(ts + ts[:1])  # a repeated time
+        # x = 0, y = 0, and the pair (100, 0), whose Gaussian factor is 0.0 below t of about 3
+        x, y = np.array(x + [0.0, 100.0]), np.array(y + [0.0])[:, None]
+        got = heat_kernel(m, ts[:, None, None], x, y)
+        want = np.stack([heat_kernel(m, float(t), x, y) for t in ts])
+        assert np.array_equal(got, want) and not np.signbit(got).any()
+        assert np.array_equal(heat_kernel(m, np.array(ts[0]), x, y), want[0])  # 0-d time
+        assert np.array_equal(heat_kernel(m, ts[:1], x, y), want[0])  # one-element time
+        # scalar points: one call with all three scalar takes the float branch,
+        # so the scalar-time reference is a one-pair array call
+        got = heat_kernel(m, ts, x[0], y[0, 0])
+        assert np.array_equal(got, [heat_kernel(m, float(t), x[:1], y[0])[0] for t in ts])
+
 
 class TestNormalization:
     @pytest.mark.parametrize(
@@ -362,8 +384,9 @@ class TestBadTimes:
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     def test_kernel_eval_rejects_time(self, m_half, t):
-        with pytest.raises(ValueError, match="time must be positive and finite"):
-            heat_kernel(m_half, t, 1.0, 2.0)
+        for times in (t, np.array(t), np.array([0.5, t]), np.array([[t], [0.5]])):
+            with pytest.raises(InvalidInput, match="time must be positive and finite"):
+                heat_kernel(m_half, times, 1.0, np.array([2.0, 3.0]))
 
 
 class TestSubMarkov:

@@ -546,6 +546,13 @@ BAD_CALLS = {
     "heat_kernel points": lambda m, g, f: heat_kernel(m, 1.0, -1.0, -2.0),
     "heat_kernel infinite point": lambda m, g, f: heat_kernel(m, 1.0, np.array([1.0, math.inf]), 2.0),
     "heat_kernel NaN point": lambda m, g, f: heat_kernel(m, 1.0, 1.0, math.nan),
+    "heat_kernel zero in a time array": lambda m, g, f: heat_kernel(m, np.array([0.1, 0.0]), 1.0, 2.0),
+    "heat_kernel negative time array": lambda m, g, f: heat_kernel(m, np.array([-1.0, 0.2]), 1.0, 2.0),
+    "heat_kernel NaN in a time array": lambda m, g, f: heat_kernel(m, np.array([[0.1], [math.nan]]), 1.0, 2.0),
+    "heat_kernel infinite time array": lambda m, g, f: heat_kernel(m, np.array([math.inf]), 1.0, 2.0),
+    "heat_kernel times that do not broadcast": lambda m, g, f: heat_kernel(
+        m, np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0]), 2.0
+    ),
     "kernel_matrix time": lambda m, g, f: kernel_matrix(m, g, -1.0),
     "mass_residual time": lambda m, g, f: heat_kernel_mass_residual(m, 0.0, 1.0),
     "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),

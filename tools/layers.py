@@ -23,7 +23,8 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
 - ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``)
   and ``grid900`` (grid 14, n = 900, V = 1/x on its section of [0, 8]):
   ``k_ms``, ``bessel_pairs`` (Bessel factors one check evaluates),
-  ``sha256`` of every entry's G values and fitted exponent;
+  ``heat_kernel_calls`` (its calls of ``heat_kernel``), ``sha256`` of every
+  entry's G values and fitted exponent;
 - ``fk``: ``feynman_kac`` at ``cli`` (20,000 paths x 200 steps, as in
   ``besselhardy all``) and ``test08`` (40,000 x 250): ``fk_ms``,
   ``path_steps_per_s``, ``sha256`` of the estimate and stderr, ``chunks``;
@@ -161,6 +162,7 @@ def kernel_probe(bh) -> dict:
 
 
 def k_probe(bh) -> dict:
+    from besselhardy import conditions
     from besselhardy import kernel as km
 
     m = bh.WeightedMeasure(0.5)
@@ -170,7 +172,7 @@ def k_probe(bh) -> dict:
         "cli": (v1, sec1, bh.Grid.build(m, 320, 30.0, 60.0, [p for d in sec1 for p in (d.a, d.b)]), 5, 16),
         "grid900": (vpow, sec_pow, grid14(bh, 900), 6, 24),
     }
-    out: dict = {"k_ms": {}, "bessel_pairs": {}, "sha256": {}}
+    out: dict = {"k_ms": {}, "bessel_pairs": {}, "heat_kernel_calls": {}, "sha256": {}}
     for name, (potential, section, grid, t_count, s_nodes) in configs.items():
 
         def run():
@@ -178,9 +180,11 @@ def k_probe(bh) -> dict:
 
         out["k_ms"][name] = round(best_ms(run), 1)
         calls: list = []
-        with recording(km, "bessel_i_scaled_ratio", calls):
+        kernel_calls: list = []
+        with recording(km, "bessel_i_scaled_ratio", calls), recording(conditions, "heat_kernel", kernel_calls):
             rep = run()
         out["bessel_pairs"][name] = sum(np.size(z) for _, z in calls)
+        out["heat_kernel_calls"][name] = len(kernel_calls)
         out["sha256"][name] = sha256(*(a for e in rep.entries for a in (e.values, np.float64(e.fitted_exponent))))
     return out
 
