@@ -19,10 +19,34 @@ import numpy as np
 from .errors import InvalidInput, MixedGrids
 from .measure import Interval, WeightedMeasure
 
-# A grid keeps this many kernel matrices, least recently used first out.
-# Each is a kernel.BandMatrix: at n = 900 and dt <= 2^-5 it holds 0.2-0.45
-# of the n^2 8 bytes of the dense matrix.
-_CACHE_ENTRIES = 16
+# A grid caches kernel matrices (kernel.BandMatrix, n^2 8 bytes at most) in
+# two halves of _CACHE_BYTES // 2 each, a segmented LRU (Karedla, Love and
+# Wherry, IEEE Computer 27(3), 1994).  A matrix enters as new; a later get
+# makes it reused.  At each put, while the reused half holds more than its
+# half, its least recently used entry goes back to the new half as that
+# half's newest; then, while the new half holds more than its half, its
+# least recently used entry is dropped.  The entry just put always stays.
+# Only a matrix asked for twice is kept from one-shot legs: a sweep on the
+# power-of-two step lattice reuses its matrices, a (D) or Duhamel leg does
+# not.  Builds per sweep_cold round after the first (grid 900; a round
+# makes 13 lattice matrices, 21 MB in all, 8 (D) legs of 3.6 MB mean and
+# 6 Duhamel legs of 2.3 MB mean), replayed over 12 rounds, and the peak
+# bytes held:
+#
+#   policy                     seed 21  seed 22  peak MB
+#   LRU, 16 entries               26.9     26.8  53.1 / 60.4
+#   LRU, 32 entries               13.0        -  92.8
+#   LRU, 40-48 MiB           26.8-26.9        -  40-48
+#   two halves of 32 MiB          27.6     29.2  31.7
+#   two halves of 40 MiB          17.6     17.8  39.7
+#   two halves of 48 MiB          15.8     14.8  47.7
+#   Belady optimum, 40 MB         12.4        -  40
+#
+# There is a cliff between 32 and 40 MiB: the reused half must hold the
+# 21 MB lattice set, or each round rebuilds it.  48 MiB raised the
+# sweep_cold peak RSS by 6%.  A new half under about 10 MiB thrashes at
+# n = 900, where a Duhamel check cycles through 3 legs.
+_CACHE_BYTES = 40 * 2**20
 
 
 class Grid:
@@ -45,7 +69,8 @@ class Grid:
         p = 1.0 + measure.alpha
         powers = edges**p / p
         self.weights = np.diff(powers)
-        self._matrix_cache: OrderedDict = OrderedDict()
+        self._matrix_cache: OrderedDict = OrderedDict()  # every entry, least recently used first
+        self._reused: set = set()  # the keys of the reused half
 
     @classmethod
     def build(
@@ -123,16 +148,26 @@ class Grid:
         return out
 
     def cache_get(self, key):
-        if key in self._matrix_cache:
+        value = self._matrix_cache.get(key)
+        if value is not None:
             self._matrix_cache.move_to_end(key)
-            return self._matrix_cache[key]
-        return None
+            self._reused.add(key)
+        return value
 
     def cache_put(self, key, value):
-        self._matrix_cache[key] = value
-        self._matrix_cache.move_to_end(key)
-        while len(self._matrix_cache) > _CACHE_ENTRIES:
-            self._matrix_cache.popitem(last=False)
+        cache, reused, half = self._matrix_cache, self._reused, _CACHE_BYTES // 2
+        cache.pop(key, None)
+        reused.discard(key)
+        while sum(cache[k].nbytes for k in reused) > half:
+            oldest = next(k for k in cache if k in reused)
+            reused.remove(oldest)
+            cache.move_to_end(oldest)
+        cache[key] = value
+        while sum(v.nbytes for k, v in cache.items() if k not in reused) > half:
+            oldest = next(k for k in cache if k not in reused)
+            if oldest == key:
+                break
+            del cache[oldest]
 
 
 @dataclass(frozen=True)

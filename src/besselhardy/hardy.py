@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import CutoffViolation, InvalidInput, MixedGrids, SupportViolation
 from .grid import CellRange, Grid, GridFunction
+from .kernel import _check_count
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import ProperSection
 from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through
@@ -270,8 +271,9 @@ def partition_of_unity(section: ProperSection) -> list[PartitionBump]:
 
 
 def log_time_grid(t_min: float, t_max: float, n_times: int) -> np.ndarray:
-    if not (0.0 < t_min < t_max) or n_times < 2:
-        raise InvalidInput("need 0 < t_min < t_max and n_times >= 2")
+    _check_count("n_times", n_times, least=2)
+    if not 0.0 < t_min < t_max < math.inf:  # also rejects NaN
+        raise InvalidInput(f"need finite times 0 < t_min < t_max, got {(t_min, t_max)!r}")
     return np.exp(np.linspace(math.log(t_min), math.log(t_max), n_times))
 
 
@@ -323,6 +325,7 @@ def hardy_norm(
     One cumulative sweep up to 2 t_max also yields the norms at half and at
     double the time range, reported as the truncation sensitivity.
     """
+    _check_count("n_times", n_times, least=2)
     ts = log_time_grid(t_min, 2.0 * t_max, n_times + max(2, n_times // 8))
     best = np.zeros(len(f.grid))
     norm_half = norm_full = None
@@ -353,6 +356,8 @@ def local_hardy_norm(
     scheme: SplittingScheme = DEFAULT_SCHEME,
 ) -> HardyNormResult:
     """Local variant: the time range is (0, tau^2]."""
+    if not 0.0 < tau < math.inf:  # also rejects NaN
+        raise InvalidInput(f"tau must be positive and finite, got {float(tau)!r}")
     tau2 = tau * tau
     return hardy_norm(m, potential, f, 1e-3 * tau2, tau2, n_times, scheme)
 

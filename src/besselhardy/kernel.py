@@ -32,7 +32,9 @@ makes dense matvecs up to twice as slow; the matrix holds neither.  The
 band is walked around the diagonal in row blocks of bounded size, and the
 Bessel kernels stop each argument at its own last term (see ``bessel``).
 ``kernel_matrix`` caps that matrix to be sub-Markov in one closed-form
-pass and caches it on the grid; it is the one matrix the evolution uses.
+pass and caches it on the grid (``grid._CACHE_BYTES``: a matrix asked for
+twice is kept apart from one-shot ones); it is the one matrix the
+evolution uses.
 
 The cache holds that matrix as a ``BandMatrix``: dense blocks of
 ``_BAND_ROWS`` = 128 rows (the last one fewer, or one more where a single
@@ -394,7 +396,14 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     result is positive and symmetric, so the discrete evolution is sub-Markov
     both in L-inf (the maximum principle) and in L1(mu); a matrix with no hot
     row is the raw one bit for bit.  The measure must be the grid's, so t
-    alone keys the cache.  The cache holds the capped matrix packed as
+    alone keys the grid's cache, and a hit returns the same object.  A new
+    matrix stays while it and the new matrices put after it fit in half of
+    ``grid._CACHE_BYTES`` (20 MiB).  A matrix asked for again moves to the
+    other half and stays there while it and the matrices reused after it
+    fit in 20 MiB, then goes back to the new half; so a sweep on the
+    power-of-two step lattice finds its matrices again after one-shot legs
+    have come and gone.  The matrix just built stays at least until the
+    next put.  The cache holds the capped matrix packed as
     ``_BAND_ROWS`` = 128-row blocks over column spans aligned to
     ``_BAND_ALIGN`` = 16, the sizes for which a block matvec was measured
     no slower than the dense one and bit for bit equal to it (see the module

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +18,22 @@ from besselhardy import (
     Interval,
     InvalidInput,
     MixedGrids,
+    Potential,
     SampleSpec,
+    SplittingScheme,
     WeightedMeasure,
+    build_section,
+    check_condition_D,
+    check_superharmonic,
+    find_balanced_J,
     gaussian_bound_constants,
     heat_evolve,
     heat_kernel,
     heat_kernel_mass_residual,
     kernel_matrix,
+    perturbation_residual,
 )
+from besselhardy import grid as grid_module
 from besselhardy import kernel as kernel_module
 from besselhardy.bessel import bessel_i_scaled_ratio
 from besselhardy.grid import Grid
@@ -583,6 +592,106 @@ class TestBandMatrix:
         for v in (np.ones(39), np.ones(41), np.ones((40, 1))):
             with pytest.raises(InvalidInput, match="length 40"):
                 band @ v
+
+
+class TestMatrixCache:
+    """The grid's two-half byte-bounded cache of kernel matrices."""
+
+    HALF = grid_module._CACHE_BYTES // 2
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The times of every ``_raw_matrix`` build, as ``kernel_matrix`` makes them."""
+        made = []
+        raw = kernel_module._raw_matrix
+
+        def counted(m, grid, t):
+            made.append(t)
+            return raw(m, grid, t)
+
+        monkeypatch.setattr(kernel_module, "_raw_matrix", counted)
+        return made
+
+    def test_hit_is_the_same_object(self, m_half, builds):
+        grid = Grid.build(m_half, 40, 8.0, 10.0)
+        mat = kernel_matrix(m_half, grid, 0.1)
+        assert kernel_matrix(m_half, grid, 0.1) is mat
+        assert kernel_matrix(m_half, grid, 0.1) is mat
+        assert builds == [0.1]
+
+    def test_reused_matrix_survives_a_flood_of_one_shot_legs(self, m_half, builds):
+        grid = grid_of_test14(m_half)
+        kept = kernel_matrix(m_half, grid, 2.0**-5)
+        assert kernel_matrix(m_half, grid, 2.0**-5) is kept
+        flood = 0
+        t = 0.3
+        while flood <= 2 * grid_module._CACHE_BYTES:  # twice the whole budget in one-shot puts
+            flood += kernel_matrix(m_half, grid, t).nbytes
+            t += 0.01
+        del builds[:]
+        assert kernel_matrix(m_half, grid, 2.0**-5) is kept
+        assert builds == []
+
+    def test_halves_stay_within_their_bytes(self, m_half):
+        grid = Grid.build(m_half, 40, 8.0, 10.0)
+        rng = np.random.default_rng(5)
+        sizes = {key: int(rng.uniform(0.5, 12.0) * 2**20) for key in range(40)}
+        sizes[40] = int(1.5 * self.HALF)  # one matrix larger than a half
+        for step in range(600):
+            key = int(rng.integers(41))
+            if grid.cache_get(key) is not None:
+                continue
+            grid.cache_put(key, types.SimpleNamespace(nbytes=sizes[key]))
+            assert next(reversed(grid._matrix_cache)) == key and key not in grid._reused
+            for in_half in (True, False):
+                half = [k for k in grid._matrix_cache if (k in grid._reused) == in_half]
+                assert sum(sizes[k] for k in half) <= self.HALF or len(half) == 1, (step, in_half)
+            assert grid._reused <= grid._matrix_cache.keys()
+        grid.cache_put(40, types.SimpleNamespace(nbytes=sizes[40]))
+        assert grid.cache_get(40).nbytes == sizes[40]
+
+    def test_evolve_warm_pool_builds_nothing_when_reused(self, m_half, builds):
+        """The warm-evolution pattern: 8 pool times, then the same times in a new order."""
+        grid = Grid.build(m_half, 420, 24.0, 80.0, breakpoints=[k / 2 for k in range(1, 9)])
+        scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
+        rng = np.random.default_rng(0)
+        steps = np.arange(2, 17, 2)
+        pool = (steps - rng.uniform(0.0, 1.0, steps.size)) / scheme.steps_per_unit
+        ones = GridFunction.ones(grid)
+        for t in pool:
+            heat_evolve(m_half, float(t), ones, scheme)
+        assert len(builds) == 8
+        del builds[:]
+        for _ in range(3):
+            for t in rng.permutation(pool):
+                heat_evolve(m_half, float(t), ones, scheme)
+        assert builds == []
+
+    def test_lattice_sweep_survives_one_shot_checks(self, m_half, builds):
+        """(D) and Duhamel legs between two lattice sweeps evict none of the sweep's matrices."""
+        v1, vpow = Potential.constant(1.0), Potential.power(1.0, 1.0)
+        grid = grid_of_test14(m_half)
+        profile = find_balanced_J(m_half, v1, build_section(m_half, v1, Interval(0.0, 4.0)).intervals[0])
+        us = profile.host.length**2 * np.exp(np.linspace(math.log(1e-3), math.log(100.0), 21))
+        z = profile.host.to_interval().center
+
+        def sweep():
+            return check_superharmonic(m_half, v1, profile, z, us, grid).thetas
+
+        first = sweep()
+        assert len(builds) == 9
+        sweep()
+        assert len(builds) == 9
+        section = build_section(m_half, vpow, Interval(0.0, 8.0))
+        check_condition_D(m_half, vpow, section, grid, intervals=[section.intervals[1]], n_max=8, steps_per_leg=9)
+        v09 = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
+        scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
+        for s_steps in (10, 20):
+            perturbation_residual(m_half, v09, 0.5, 1.2, 2.0, grid, s_steps=s_steps, scheme=scheme)
+        del builds[:]
+        third = sweep()
+        assert builds == []
+        assert np.array_equal(third, first)
 
 
 class TestGaussianSandwich:

@@ -36,10 +36,12 @@ from besselhardy import (
     feynman_kac,
     find_balanced_J,
     gaussian_bound_constants,
+    hardy_norm,
     heat_evolve,
     heat_kernel,
     heat_kernel_mass_residual,
     kernel_matrix,
+    local_hardy_norm,
     make_local_atom,
     make_mu_atom,
     maximal_function,
@@ -599,6 +601,12 @@ BAD_CALLS = {
     "make_mu_atom constant profile": lambda m, g, f: make_mu_atom(g, Interval(1.0, 2.0), np.ones_like),
     "AtomicCombination empty": lambda m, g, f: AtomicCombination(()).synthesize(),
     "log_time_grid range": lambda m, g, f: log_time_grid(1.0, 0.5, 4),
+    "log_time_grid fractional count": lambda m, g, f: log_time_grid(0.1, 1.0, 2.5),
+    "log_time_grid infinite t_max": lambda m, g, f: log_time_grid(0.1, math.inf, 4),
+    "hardy_norm fractional n_times": lambda m, g, f: hardy_norm(m, Potential.zero(), f, 0.1, 1.0, n_times=2.5),
+    "hardy_norm zero n_times": lambda m, g, f: hardy_norm(m, Potential.zero(), f, 0.1, 1.0, n_times=0),
+    "hardy_norm infinite t_max": lambda m, g, f: hardy_norm(m, Potential.zero(), f, 0.1, math.inf),
+    "local_hardy_norm negative tau": lambda m, g, f: local_hardy_norm(m, Potential.zero(), f, -1.0),
     "maximal_function times": lambda m, g, f: maximal_function(m, Potential.constant(1.0), f, []),
     "resupport_atom kind": lambda m, g, f: resupport_atom(
         make_local_atom(g, Interval(1.0, 2.0)), Interval(1.0, 2.0), None

@@ -39,7 +39,14 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   (its 2 ``phi_equation_residual`` calls) and ``tail`` (the 9 ``_tail_bound``
   bars of its superharmonic sweep): ``ms`` of each group and ``sha256`` of
   its values (the mass residuals and ``converged`` flags, the residuals, the
-  bars).
+  bars);
+- ``cache``: 3 rounds on one fresh grid-14 n = 900 grid, each of two V = 1
+  ``check_superharmonic`` sweeps on the step lattice, one
+  ``check_condition_D`` on the V = 1/x section of [0, 8] (9 steps per leg)
+  and a test-09 ``perturbation_residual`` pair (``s_steps`` 10 and 20):
+  ``builds`` (raw builds per round), ``round_ms`` (per round, one run),
+  ``cache_mb_peak`` (the most ``BandMatrix.nbytes`` the grid held after a
+  put) and ``sha256`` per round of its thetas, (D) values and Duhamel sides.
 """
 
 from __future__ import annotations
@@ -273,6 +280,48 @@ def quad_probe(bh) -> dict:
     return out
 
 
+def cache_probe(bh) -> dict:
+    from besselhardy import kernel as km
+
+    m = bh.WeightedMeasure(0.5)
+    v1, vpow = bh.Potential.constant(1.0), bh.Potential.power(1.0, 1.0)
+    profile = bh.find_balanced_J(m, v1, bh.build_section(m, v1, bh.Interval(0.0, 4.0)).intervals[0])
+    us = profile.host.length**2 * np.exp(np.linspace(math.log(1e-3), math.log(100.0), 21))
+    z = profile.host.to_interval().center
+    section = bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
+    v09 = bh.Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
+    scheme = bh.SplittingScheme(steps_per_unit=16.0, min_steps=2)
+    grid = grid14(bh, 900)
+    put, peak = grid.cache_put, [0]
+
+    def tracked_put(key, value):
+        put(key, value)
+        peak[0] = max(peak[0], sum(mat.nbytes for mat in grid._matrix_cache.values()))
+
+    grid.cache_put = tracked_put
+
+    def one_round():
+        outputs = [bh.check_superharmonic(m, v1, profile, z, us, grid).thetas for _ in range(2)]
+        d = bh.check_condition_D(m, vpow, section, grid, intervals=[section.intervals[1]], n_max=8, steps_per_leg=9)
+        outputs += [e.values for e in d.entries]
+        for s_steps in (10, 20):
+            rep = bh.perturbation_residual(m, v09, 0.5, 1.2, 2.0, grid, s_steps, scheme)
+            outputs.append([rep.lhs, rep.rhs])
+        return outputs
+
+    out: dict = {"builds": [], "round_ms": [], "sha256": {}}
+    for k in range(1, 4):
+        builds: list = []
+        with recording(km, "_raw_matrix", builds):
+            t0 = time.perf_counter()
+            outputs = one_round()
+            out["round_ms"].append(round(1e3 * (time.perf_counter() - t0), 1))
+        out["builds"].append(len(builds))
+        out["sha256"][f"round {k}"] = sha256(*outputs)
+    out["cache_mb_peak"] = round(peak[0] / 1e6, 2)
+    return out
+
+
 def host() -> dict:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(), "cpus": cpus}
@@ -292,7 +341,15 @@ def main() -> None:
 
     out = {"host": host() | {"blas_threads": os.environ.get("OPENBLAS_NUM_THREADS")}, "repeats": REPEATS}
     out["src_lines"] = py_lines(src / "besselhardy")
-    probes = {"kernel": kernel_probe, "k": k_probe, "fk": fk_probe, "cli": cli_probe, "import": import_probe, "quad": quad_probe}
+    probes = {
+        "kernel": kernel_probe,
+        "k": k_probe,
+        "fk": fk_probe,
+        "cli": cli_probe,
+        "import": import_probe,
+        "quad": quad_probe,
+        "cache": cache_probe,
+    }
     for name, probe in probes.items():
         out[name] = probe(bh)
     print(json.dumps(out))
