@@ -99,6 +99,8 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
 
     if not ns.alpha > 0.0:
         raise ConfigError("--alpha must be positive")
+    if ns.seed < 0:
+        raise ConfigError("--seed must be at least 0")
     lo, hi = _numbers(ns.window, "--window", "lo:hi")
     if not (0.0 <= lo < hi):
         raise ConfigError("--window must satisfy 0 <= lo < hi")

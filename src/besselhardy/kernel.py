@@ -494,6 +494,7 @@ class SampleSpec:
 
     def __post_init__(self):
         _check_count("n_samples", self.n_samples)
+        _check_count("seed", self.seed, least=0)
         if not all(0.0 < lo <= hi < math.inf for lo, hi in (self.x_range, self.y_range, self.t_range)):  # and NaN
             raise InvalidInput(f"sampling ranges need 0 < lo <= hi < inf, got {self!r}")
 

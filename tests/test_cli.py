@@ -53,6 +53,7 @@ class TestParsing:
             (["--tol", "mas=1e-6"], "--tol"),
             (["--potential", "piece 0 1 nan"], "--potential"),
             (["--potential-file", "{missing}"], "--potential-file"),
+            (["--seed", "-1"], "--seed"),
         ],
     )
     def test_input_error_exits_2_naming_flag(self, tmp_path, capsys, args, flag):

@@ -1,8 +1,11 @@
+import contextlib
+import hashlib
 import math
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -257,6 +260,138 @@ class TestEvolutionProperties:
         for out in (ks, ph):
             assert out.l1() <= f.l1()
             assert out.values.max() <= f.values.max()
+
+
+def serial_evolve(m, potential, t, f, steps):
+    """K_t f by the Strang loop of ``mat @`` on fresh arrays, the reference for the planned loop."""
+    grid = f.grid
+    half = np.exp(-0.5 * (t / steps) * np.asarray(potential(grid.nodes), dtype=np.float64))
+    mat = kernel_matrix(m, grid, t / steps)
+    out = f.values
+    for _ in range(steps):
+        out = half * out
+        out = mat @ (grid.weights * out)
+        out = half * out
+    return out
+
+
+@contextlib.contextmanager
+def counting_splits(mp: pytest.MonkeyPatch, split_bytes=None, split_steps=None):
+    """Yield a list that gets one entry per second-half thread ``_evolve`` starts, with thresholds patched."""
+    if split_bytes is not None:
+        mp.setattr(semigroup_module, "_SPLIT_BYTES", split_bytes)
+    if split_steps is not None:
+        mp.setattr(semigroup_module, "_SPLIT_STEPS", split_steps)
+    starts: list = []
+    run = semigroup_module._second_half
+
+    def counted(*args):
+        starts.append(args)
+        run(*args)
+
+    mp.setattr(semigroup_module, "_second_half", counted)
+    yield starts
+
+
+_EVOLVE_DIGEST = """
+import hashlib, os, sys
+if sys.argv[1] == "pinned":
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+import numpy as np
+from besselhardy import Grid, GridFunction, Potential, WeightedMeasure, heat_evolve, schrodinger_apply
+from besselhardy import semigroup
+starts = []
+run = semigroup._second_half
+semigroup._second_half = lambda *args: (starts.append(1), run(*args))
+m = WeightedMeasure(0.5)
+grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+f = GridFunction(grid, np.exp(-((grid.nodes - 2.0) ** 2)))
+ks = schrodinger_apply(m, Potential.power(1.0, 1.0), 40 / 16, f, n_steps=40)
+ph = heat_evolve(m, 40 / 16, f, n_steps=40)
+print(len(starts), hashlib.sha256(ks.values.tobytes() + ph.values.tobytes()).hexdigest())
+"""
+
+
+class TestSplitEvolution:
+    """A long leg on a large matrix runs half its band blocks on a second thread, with the serial bits."""
+
+    @given(
+        alpha=st.floats(min_value=0.2, max_value=3.0),
+        n=st.integers(min_value=130, max_value=600),
+        ratio=st.floats(min_value=1.0, max_value=1000.0),
+        x_max=st.floats(min_value=2.0, max_value=60.0),
+        t=st.floats(min_value=1e-3, max_value=4.0),
+        steps=st.integers(min_value=1, max_value=40),
+        cuts=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=4),
+        levels=st.lists(st.floats(min_value=0.0, max_value=20.0), min_size=5, max_size=5),
+        power=st.none() | st.tuples(st.floats(min_value=0.1, max_value=5.0), st.floats(min_value=-2.0, max_value=1.1)),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_split_equals_the_serial_loop(self, alpha, n, ratio, x_max, t, steps, cuts, levels, power, seed):
+        m = WeightedMeasure(alpha)
+        grid = Grid.build(m, n, x_max, ratio)
+        if power is None:
+            ends = [0.0, *sorted({p for p in (x_max * c for c in cuts) if 0.0 < p < x_max}), x_max]
+            v = Potential(pieces=tuple((a, b, lev) for a, b, lev in zip(ends, ends[1:], levels)))
+        else:
+            v = Potential.power(*power)
+        f = GridFunction(grid, np.random.default_rng(seed).uniform(0.0, 2.0, n))
+        with pytest.MonkeyPatch.context() as mp, counting_splits(mp, 0, 1) as starts:
+            ks = schrodinger_apply(m, v, t, f, n_steps=steps)
+            ph = heat_evolve(m, t, f, n_steps=steps)
+        assert len(starts) == 2
+        assert ks.values.tobytes() == serial_evolve(m, v, t, f, steps).tobytes()
+        assert ph.values.tobytes() == serial_evolve(m, Potential.zero(), t, f, steps).tobytes()
+
+    @pytest.mark.parametrize("n,steps,split", [(900, 16, True), (900, 15, False), (420, 128, False)])
+    def test_splits_only_long_legs_on_large_matrices(self, m_half, n, steps, split):
+        # at dt = 2^-4 the n = 900 matrix holds 3.4 MB and the n = 420 one 1.0 MB
+        grid = Grid.build(m_half, n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+        assert (kernel_matrix(m_half, grid, 1 / 16).nbytes > semigroup_module._SPLIT_BYTES) == (n == 900)
+        f = bump(grid)
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp, counting_splits(mp) as starts:
+            ks = schrodinger_apply(m_half, Potential.power(1.0, 1.0), steps / 16, f, n_steps=steps)
+        assert len(starts) == split and threading.active_count() == before
+        assert ks.values.tobytes() == serial_evolve(m_half, Potential.power(1.0, 1.0), steps / 16, f, steps).tobytes()
+
+    def test_a_worker_failure_reaches_the_caller(self, m_half, grid_half):
+        run = semigroup_module._dot_blocks
+
+        def fail_off_the_main_thread(plan):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("injected")
+            run(plan)
+
+        before = threading.active_count()
+        with pytest.MonkeyPatch.context() as mp, counting_splits(mp, 0, 1) as starts:
+            mp.setattr(semigroup_module, "_dot_blocks", fail_off_the_main_thread)
+            with pytest.raises(FloatingPointError, match="injected"):
+                heat_evolve(m_half, 0.3, bump(grid_half), n_steps=5)
+        assert starts and threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+    def test_bits_do_not_depend_on_cpus_or_blas_threads(self, m_half):
+        src = str(Path(semigroup_module.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = {
+            (form, blas): subprocess.run(
+                [sys.executable, "-c", _EVOLVE_DIGEST, form],
+                env=dict(env, OPENBLAS_NUM_THREADS=blas, OMP_NUM_THREADS=blas),
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout.split()
+            for form, blas in (("default", "1"), ("default", "2"), ("pinned", "2"))
+        }
+        grid = Grid.build(m_half, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+        f = GridFunction(grid, np.exp(-((grid.nodes - 2.0) ** 2)))
+        ks = serial_evolve(m_half, Potential.power(1.0, 1.0), 40 / 16, f, 40)
+        ph = serial_evolve(m_half, Potential.zero(), 40 / 16, f, 40)
+        want = ["2", hashlib.sha256(ks.tobytes() + ph.tobytes()).hexdigest()]
+        assert list(out.values()) == [want] * 3
 
 
 class TestKernelColumn:
@@ -563,6 +698,7 @@ BAD_CALLS = {
     "mass_residual infinite y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, math.inf),
     "SampleSpec n_samples": lambda m, g, f: gaussian_bound_constants(m, SampleSpec(n_samples=0)),
     "SampleSpec range": lambda m, g, f: gaussian_bound_constants(m, SampleSpec(x_range=(0.0, 20.0))),
+    "SampleSpec negative seed": lambda m, g, f: SampleSpec(seed=-1),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
     "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
     "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
@@ -578,7 +714,10 @@ BAD_CALLS = {
     "feynman_kac start": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 0.0, np.ones_like, 4, 4, 0),
     "feynman_kac NaN start": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, math.nan, np.ones_like, 4, 4, 0),
     "feynman_kac time": lambda m, g, f: feynman_kac(m, Potential.zero(), math.nan, 1.0, np.ones_like, 4, 4, 0),
+    "feynman_kac negative seed": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 1.0, np.ones_like, 4, 4, -1),
+    "feynman_kac fractional seed": lambda m, g, f: feynman_kac(m, Potential.zero(), 1.0, 1.0, np.ones_like, 4, 4, 1.5),
     "besq_terminal_samples time": lambda m, g, f: besq_terminal_samples(m, 0.0, 1.0, 4, 4, 0),
+    "besq_terminal_samples negative seed": lambda m, g, f: besq_terminal_samples(m, 1.0, 1.0, 4, 4, -1),
     "perturbation_residual s_steps": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1.0, 1.5, g, s_steps=0),
     "perturbation_residual NaN x": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, math.nan, 1.5, g),
     "perturbation_residual far x": lambda m, g, f: perturbation_residual(m, Potential.zero(), 0.5, 1e9, 1.5, g),

@@ -46,7 +46,13 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   and a test-09 ``perturbation_residual`` pair (``s_steps`` 10 and 20):
   ``builds`` (raw builds per round), ``round_ms`` (per round, one run),
   ``cache_mb_peak`` (the most ``BandMatrix.nbytes`` the grid held after a
-  put) and ``sha256`` per round of its thetas, (D) values and Duhamel sides.
+  put) and ``sha256`` per round of its thetas, (D) values and Duhamel sides;
+- ``evolve``: ``schrodinger_apply`` of f = exp(-(x - 2)^2) under V = 1/x with
+  ``n_steps`` k in ``EVOLVE_STEPS`` and t = k dt for dt in ``EVOLVE_DT``, on
+  ``grid900`` (grid 14, n = 900), ``warm420`` (the ``evolve_warm`` grid) and
+  ``cli320`` (the grid of ``besselhardy all``), a fresh grid per dt whose
+  matrix is built before the timing: ``us_per_step`` (the best call over k),
+  ``matrix_mb`` (``BandMatrix.nbytes``) and ``sha256`` of each output.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ STEPS = {"1e-4": 1e-4, "1e-3": 1e-3, "1/32": 1.0 / 32.0, "1": 1.0}
 MATVEC_SIZES = (900, 1400)
 MATVECS = 200
 BESSEL_EVALS = 1_000_000
+EVOLVE_DT = {"2^-6": 2.0**-6, "2^-4": 2.0**-4, "2^-2": 0.25, "1": 1.0}
+EVOLVE_STEPS = (4, 16, 128)
 
 
 def best_ms(run) -> float:
@@ -322,6 +330,32 @@ def cache_probe(bh) -> dict:
     return out
 
 
+def evolve_probe(bh) -> dict:
+    from besselhardy import cli
+
+    m = bh.WeightedMeasure(0.5)
+    cfg = cli.RunConfig()
+    grids = {
+        "grid900": lambda: grid14(bh, 900),
+        "warm420": lambda: bh.Grid.build(m, 420, 24.0, 80.0, breakpoints=[k / 2 for k in range(1, 9)]),
+        "cli320": lambda: cli._grid_for(cfg, bh.build_section(m, cfg.potential, cfg.window)),
+    }
+    v = bh.Potential.power(1.0, 1.0)
+    out: dict = {"us_per_step": {}, "matrix_mb": {}, "sha256": {}}
+    for name, build in grids.items():
+        for label, dt in EVOLVE_DT.items():
+            g = build()
+            f = bh.GridFunction(g, np.exp(-((g.nodes - 2.0) ** 2)))
+            out["matrix_mb"][f"{name} dt={label}"] = round(bh.kernel_matrix(m, g, dt).nbytes / 1e6, 3)
+            for k in EVOLVE_STEPS:
+                key = f"{name} dt={label} steps={k}"
+                outputs = []
+                ms = best_ms(lambda: outputs.append(bh.schrodinger_apply(m, v, k * dt, f, n_steps=k)))
+                out["us_per_step"][key] = round(1e3 * ms / k, 1)
+                out["sha256"][key] = sha256(outputs[-1].values)
+    return out
+
+
 def host() -> dict:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(), "cpus": cpus}
@@ -349,6 +383,7 @@ def main() -> None:
         "import": import_probe,
         "quad": quad_probe,
         "cache": cache_probe,
+        "evolve": evolve_probe,
     }
     for name, probe in probes.items():
         out[name] = probe(bh)
