@@ -7,15 +7,14 @@ positive down to z = 0, so nothing overflows even for arguments of order 1e6.
 ``bessel_i_scaled`` returns ``e^{-z} I_order(z)`` as that ratio times z^order,
 with no logarithm of z, so a subnormal z keeps its leading term.
 
-Both branches exist as plain-Python scalar kernels (which a scalar
-``heat_kernel`` call uses) and as vectorized numpy kernels (which the array
-wrappers call).
+Both branches are vectorized numpy loops, and they are the only backend: a
+scalar argument is evaluated as a one-element array, so a scalar call gives
+the bits of the one-element array call.
 
-Each element of an array kernel is done once the scalar loop would have
-stopped: the series once its last term is at most 1e-18 of its total, the
-Hankel expansion once its terms stop shrinking (from then on its total is
-frozen) or the same test holds.  The array loops compute each term in place in
-buffers made before the loop and test for done elements every
+An element of the series is done once its last term is at most 1e-18 of its
+total; an element of the Hankel expansion once its terms stop shrinking (from
+then on its total is frozen) or the same test holds.  The loops compute each
+term in place in buffers made before the loop and test for done elements every
 ``_CHECK_EVERY``-th term only; finished elements leave the loop at such a
 test when at least half the active ones are done.  No bit moves against
 running every element until the slowest has converged: every term past an
@@ -41,50 +40,8 @@ _CHECK_EVERY = 4  # terms between an array loop's convergence checks
 _LN2 = math.log(2.0)
 
 
-def _series_sum(order: float, z: float) -> float:
-    """Sum_m (z^2/4)^m / (m! * Gamma(m+order+1)); all terms positive."""
-    term = 1.0 / math.gamma(order + 1.0)
-    total = term
-    q = 0.25 * z * z
-    for m in range(1, _MAX_SERIES_TERMS):
-        term *= q / (m * (m + order))
-        total += term
-        if term <= 1e-18 * total:
-            break
-    return total
-
-
-def _asym_factor(order: float, z: float) -> float:
-    """Hankel expansion factor: e^{-z} I_order(z) * sqrt(2 pi z), z >= seam."""
-    mu4 = 4.0 * order * order
-    term = 1.0
-    total = 1.0
-    prev = 1.0
-    for k in range(_MAX_ASYM_TERMS):
-        term *= -(mu4 - (2 * k + 1) ** 2) / (8.0 * z * (k + 1))
-        a = abs(term)
-        if a >= prev:
-            break
-        total += term
-        prev = a
-        if a <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _ive_asym_scalar(order: float, z: float) -> float:
-    return _asym_factor(order, z) / math.sqrt(2.0 * math.pi * z)
-
-
-def _ive_ratio_scalar(order: float, z: float) -> float:
-    """e^{-z} I_order(z) z^{-order}; finite and positive down to z = 0."""
-    if z < SERIES_ASYM_SEAM:
-        return math.exp(-z - order * _LN2) * _series_sum(order, z)
-    return _ive_asym_scalar(order, z) * math.exp(-order * math.log(z))
-
-
 def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
-    """Array form of ``_series_sum``; each element stops at or after its own last term.
+    """Sum_m (z^2/4)^m / (m! Gamma(m + order + 1)) per element; each stops at or after its own last term.
 
     Past an element's stop every later term is smaller and below 1e-18 of
     its total, under half an ulp, so summing on would leave the total as is.
@@ -115,12 +72,12 @@ def _series_sum_numpy(order: float, z: np.ndarray) -> np.ndarray:
 
 
 def _asym_factor_numpy(order: float, z: np.ndarray) -> np.ndarray:
-    """Array form of ``_asym_factor``; each element stops on its own.
+    """Hankel factor e^{-z} I_order(z) sqrt(2 pi z) per element, z >= seam; each stops on its own.
 
     An element dies once its terms stop shrinking: it gets prev = -1, so its
     total stays frozen.  It is done once dead or once its last term is below
-    1e-18 of its total; any later term the scalar loop would still add is
-    smaller again, under half an ulp.
+    1e-18 of its total; any later term a loop running on would still add
+    is smaller again, under half an ulp.
     """
     mu4 = 4.0 * order * order
     term = np.ones_like(z)
@@ -167,26 +124,18 @@ def _ive_ratio_array_numpy(order: float, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_order(order: float) -> None:
+def bessel_i_scaled_ratio(order: float, z):
+    """Evaluate ``e^{-z} I_order(z) z^{-order}``; regular at z = 0.
+
+    A scalar z is the one-element array call, returned as a float.
+    """
     if not order > -1.0:
         raise InvalidInput(f"Bessel order must exceed -1, got {order}")
-
-
-def bessel_i_scaled_ratio(order: float, z):
-    """Evaluate ``e^{-z} I_order(z) z^{-order}``; regular at z = 0."""
-    _check_order(order)
     arr = np.asarray(z, dtype=np.float64)
     if np.any(arr < 0.0):
         raise InvalidInput("argument must be nonnegative")
-    if arr.ndim == 0:
-        return _ive_ratio_scalar(float(order), float(arr))
-    return _ive_ratio_array_numpy(float(order), arr.ravel()).reshape(arr.shape)
-
-
-def _times_power(ratio, order: float, z):
-    """ratio * z^order, where 0^order is 0, 1 or inf as I_order(0) is."""
-    with np.errstate(divide="ignore"):
-        return ratio * np.asarray(z, dtype=np.float64) ** float(order)
+    out = _ive_ratio_array_numpy(float(order), arr.ravel()).reshape(arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def bessel_i_scaled(order: float, z):
@@ -195,17 +144,5 @@ def bessel_i_scaled(order: float, z):
     It is ``bessel_i_scaled_ratio(order, z) * z^order``, so a subnormal z
     keeps its leading term and z = 0 gives I_order(0): 0, 1 or inf.
     """
-    return _times_power(bessel_i_scaled_ratio(order, z), order, z)
-
-
-def series_branch(order: float, z: float) -> float:
-    """Series branch alone (valid for moderate z); exposed for seam tests."""
-    _check_order(order)
-    z = float(z)
-    return _times_power(math.exp(-z - order * _LN2) * _series_sum(float(order), z), order, z)
-
-
-def asymptotic_branch(order: float, z: float) -> float:
-    """Asymptotic branch alone (valid for large z); exposed for seam tests."""
-    _check_order(order)
-    return _ive_asym_scalar(float(order), float(z))
+    with np.errstate(divide="ignore"):  # 0^order is 0, 1 or inf as I_order(0) is
+        return bessel_i_scaled_ratio(order, z) * np.asarray(z, dtype=np.float64) ** float(order)

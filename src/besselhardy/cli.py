@@ -97,8 +97,8 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
         sub.add_parser(name, parents=[common])
     ns = parser.parse_args(argv)
 
-    if not ns.alpha > 0.0:
-        raise ConfigError("--alpha must be positive")
+    if not 0.0 < ns.alpha < math.inf:  # also rejects NaN
+        raise ConfigError("--alpha must be positive and finite")
     if ns.seed < 0:
         raise ConfigError("--seed must be at least 0")
     lo, hi = _numbers(ns.window, "--window", "lo:hi")
@@ -128,6 +128,8 @@ def parse_config(argv: list[str]) -> tuple[str, RunConfig]:
         if not sep or name not in TOLERANCE_NAMES:
             raise ConfigError(f"--tol expects NAME=VALUE with NAME one of {', '.join(TOLERANCE_NAMES)}, got {item!r}")
         (tolerances[name],) = _numbers(value, f"--tol {name}", "value")
+        if not tolerances[name] > 0.0:
+            raise ConfigError(f"--tol {name} must be positive, got {value!r}")
 
     cfg = RunConfig(
         alpha=ns.alpha,

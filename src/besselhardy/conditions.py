@@ -26,7 +26,7 @@ from .hardy import Bump
 from .kernel import _aligned_span, _check_count, heat_kernel, quad
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_on_lattice, evolve_through
+from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through, schrodinger_apply, step_lattice
 
 _BALANCE_TOL = 1e-10  # find_balanced_J bisects until |balance - 1| <= this,
 _BALANCE_ITER = 200  # or for this many steps
@@ -249,14 +249,14 @@ def check_superharmonic(
     requested = np.sort(np.asarray(u_grid, dtype=np.float64))
     if requested.size == 0:
         raise InvalidInput("need at least one time u")
-    phi_gf = profile.phi_gridfunction(grid)
+    current = profile.phi_gridfunction(grid)
     phi_z = float(profile.phi(z))
-    us = np.empty(requested.size)
+    us, steps, dts = step_lattice(requested, scheme)
     thetas = np.empty(us.size)
     bars = np.empty(us.size)
-    sweep = evolve_on_lattice(m, potential, phi_gf, requested, scheme)
-    for i, (u, current) in enumerate(sweep):
-        us[i] = u
+    for i, (u, k, dt) in enumerate(zip(us.tolist(), steps.tolist(), dts.tolist())):
+        if k:  # k steps of dt: the cached matrix of step dt
+            current = schrodinger_apply(m, potential, k * dt, current, scheme, n_steps=k)
         thetas[i] = float(current.values[iz])
         bars[i] = _tail_bound(m, profile, z, u, grid.x_max)
     worst = 0.0

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import _ive_ratio_scalar, bessel_i_scaled_ratio
+from .bessel import bessel_i_scaled_ratio
 from .errors import InvalidInput, MixedGrids
 from .grid import Grid
 from .measure import WeightedMeasure
@@ -166,23 +166,18 @@ def quad(f, a: float, b: float, points=(), epsabs: float = 1.49e-8, epsrel: floa
 
 
 def _kernel(nu: float, t, x, y):
-    """P_t(x, y), the one formula, on one triple of floats or on broadcastable float arrays.
+    """P_t(x, y), the one formula, on broadcastable floats or float arrays.
 
-    One pair at one time stays in plain Python floats with the scalar Bessel
-    kernel, so a scalar ``heat_kernel`` call does not pay for the numpy path,
-    which cost it about 5x.  In arrays, t broadcasts with x and y, and the
-    prefactor (2t)^(-1-nu) is taken once per element of t, on t's own shape,
-    with Python float power: the scalar path's operation, which on arrays
-    ``np.power`` is not (it differed on 10,594 of 200,000 log-uniform t in
-    [1e-6, 1e3], numpy 2.4).  ``0.25 / t`` and ``2 t`` are the same IEEE
-    operations on arrays as on floats, so every value equals the call at that
-    element's time as a float, bit for bit.  Pairs whose Gaussian factor g is
-    0.0 get +0.0 with no Bessel evaluation; a NaN g counts as nonzero, so NaN
-    inputs propagate.
+    t broadcasts with x and y, and the prefactor (2t)^(-1-nu) is taken once
+    per element of t, on t's own shape, with Python float power, which on
+    arrays ``np.power`` is not (it differed on 10,594 of 200,000 log-uniform
+    t in [1e-6, 1e3], numpy 2.4).  ``0.25 / t`` and ``2 t`` are the same
+    IEEE operations on arrays as on floats, so every value equals the call
+    at that element's time as a float, bit for bit.  Pairs whose Gaussian
+    factor g is 0.0 get +0.0 with no Bessel evaluation; a NaN g counts as
+    nonzero, so NaN inputs propagate.  All-scalar inputs give a 0-d array,
+    whose Bessel factor is the one-element array call.
     """
-    if isinstance(x, float) and isinstance(y, float):
-        pref = (2.0 * t) ** (-1.0 - nu)
-        return pref * math.exp(-((x - y) ** 2) / (4.0 * t)) * _ive_ratio_scalar(nu, x * y / (2.0 * t))
     t = np.asarray(t, dtype=np.float64)
     pref = np.reshape([(2.0 * s) ** (-1.0 - nu) for s in t.ravel().tolist()], t.shape)
     x, y = np.broadcast_arrays(x, y, t)[:2]
@@ -212,6 +207,7 @@ def heat_kernel(m: WeightedMeasure, t, x, y):
     value an endpoint quadrature rule on [0, R] asks for.  An array of times
     gives each element the bits of a call at that time as a float: the
     prefactor is taken per time with Python float power (see ``_kernel``).
+    An all-scalar call is the one-element array call, returned as a float.
     """
     t = np.asarray(t, dtype=np.float64)
     for s in t.ravel().tolist():
@@ -221,14 +217,13 @@ def heat_kernel(m: WeightedMeasure, t, x, y):
     for p in (x, y):
         if not np.all((p >= 0.0) & (p < math.inf)):  # also rejects NaN
             raise InvalidInput("points must be nonnegative and finite")
-    if x.ndim == y.ndim == t.ndim == 0:
-        return _kernel(m.kernel_order, float(t), float(x), float(y))
     try:
         np.broadcast_shapes(t.shape, x.shape, y.shape)
     except ValueError:
         shapes = f"times of shape {t.shape} and points of shapes {x.shape} and {y.shape}"
         raise InvalidInput(f"{shapes} do not broadcast") from None
-    return _kernel(m.kernel_order, t, x, y)
+    out = _kernel(m.kernel_order, t, x, y)
+    return float(out) if out.ndim == 0 else out
 
 
 # Every row and column mu-mass of ``kernel_matrix`` is at most MASS_CAP.

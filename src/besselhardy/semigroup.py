@@ -248,26 +248,6 @@ def step_lattice(times, scheme: SplittingScheme = DEFAULT_SCHEME) -> tuple[np.nd
     return reached, steps, dts
 
 
-def evolve_on_lattice(
-    m: WeightedMeasure,
-    potential: Potential,
-    f: GridFunction,
-    times,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
-) -> Iterator[tuple[float, GridFunction]]:
-    """Yield (reached time r, K_r f) for each of ``times``, leg by leg on ``step_lattice``.
-
-    Each leg of k steps of dt is one ``schrodinger_apply`` of time k dt with
-    ``n_steps=k``, so its kernel matrix is the cached one of step dt.  An
-    identity leg yields the current function again.
-    """
-    current = f
-    for r, k, dt in zip(*step_lattice(times, scheme)):
-        if k:
-            current = schrodinger_apply(m, potential, k * dt, current, scheme, n_steps=int(k))
-        yield float(r), current
-
-
 def heat_evolve(
     m: WeightedMeasure,
     t: float,

@@ -10,7 +10,8 @@ from scipy.special import ive
 
 from besselhardy import bessel as bessel_module
 from besselhardy import bessel_i_scaled, bessel_i_scaled_ratio
-from besselhardy.bessel import SERIES_ASYM_SEAM, asymptotic_branch, series_branch
+from besselhardy.bessel import SERIES_ASYM_SEAM
+from conftest import seam_branches
 
 
 def half_integer_oracle(order: float, zs: np.ndarray) -> np.ndarray:
@@ -53,10 +54,8 @@ class TestHalfIntegerOracle:
 class TestSeam:
     @pytest.mark.parametrize("order", [-0.45, -0.25, 0.0, 0.35, 0.5, 1.5, 2.0, 4.5])
     def test_branches_agree_at_crossover(self, order):
-        for z in (SERIES_ASYM_SEAM, SERIES_ASYM_SEAM - 1e-9, SERIES_ASYM_SEAM + 1e-9):
-            s = series_branch(order, z)
-            a = asymptotic_branch(order, z)
-            assert abs(s - a) / a < 1e-12
+        s, a = seam_branches(order, [SERIES_ASYM_SEAM, SERIES_ASYM_SEAM - 1e-9, SERIES_ASYM_SEAM + 1e-9])
+        assert np.all(np.abs(s - a) / a < 1e-12)
 
     @pytest.mark.parametrize("order", [-0.25, 0.5, 2.0])
     def test_no_jump_across_seam(self, order):
@@ -118,6 +117,9 @@ class TestAgainstScipy:
         got = bessel_i_scaled_ratio(order, zs)
         want = ive(order, zs) * zs ** (-order)
         assert np.max(np.abs(got - want) / want) < 1e-11
+        for z in zs[::20].tolist():  # a float is the one-element array call, on both branches
+            ratio = bessel_i_scaled_ratio(order, z)
+            assert type(ratio) is float and ratio == bessel_i_scaled_ratio(order, np.array([z]))[0]
 
     def test_monotone_decay_of_order_zero(self):
         # e^{-z} I_0(z) decreases from 1; positive orders first rise from 0

@@ -54,6 +54,9 @@ class TestParsing:
             (["--potential", "piece 0 1 nan"], "--potential"),
             (["--potential-file", "{missing}"], "--potential-file"),
             (["--seed", "-1"], "--seed"),
+            (["--alpha", "inf"], "--alpha"),
+            (["--tol", "mass=-1"], "--tol"),
+            (["--tol", "mass_quad=0"], "--tol"),
         ],
     )
     def test_input_error_exits_2_naming_flag(self, tmp_path, capsys, args, flag):

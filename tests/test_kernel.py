@@ -91,8 +91,8 @@ class TestPointwise:
             a = heat_kernel(m, t, x, y)
             b = heat_kernel(m, t, y, x)
             assert a == pytest.approx(b, rel=1e-12)
-            # one pair takes the float branch of _kernel, an array the numpy one
-            assert a == pytest.approx(heat_kernel(m, t, np.array([x]), y)[0], rel=1e-12)
+            # a scalar call is the one-element array call, returned as a float
+            assert type(a) is float and a == heat_kernel(m, t, np.array([x]), np.array([y]))[0]
             if (x - y) ** 2 / (4.0 * t) < 700.0:  # beyond this float64 underflows
                 assert a > 0.0
 
@@ -128,10 +128,8 @@ class TestPointwise:
         assert np.array_equal(got, want) and not np.signbit(got).any()
         assert np.array_equal(heat_kernel(m, np.array(ts[0]), x, y), want[0])  # 0-d time
         assert np.array_equal(heat_kernel(m, ts[:1], x, y), want[0])  # one-element time
-        # scalar points: one call with all three scalar takes the float branch,
-        # so the scalar-time reference is a one-pair array call
-        got = heat_kernel(m, ts, x[0], y[0, 0])
-        assert np.array_equal(got, [heat_kernel(m, float(t), x[:1], y[0])[0] for t in ts])
+        got = heat_kernel(m, ts, x[0], y[0, 0])  # scalar points
+        assert np.array_equal(got, [heat_kernel(m, float(t), float(x[0]), float(y[0, 0])) for t in ts])
 
 
 class TestNormalization:

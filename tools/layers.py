@@ -17,9 +17,11 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``band`` and ``dense`` (a line-aligned copy), at n in ``MATVEC_SIZES``;
   ``bessel_evals_per_s`` on 1e6 log-uniform z in [1e-3, 1e5], and
   ``bessel_evals_per_s_kernel_args`` on the ``bessel_evals_kernel_args``
-  arguments of one raw build (n 900, dt 1e-3); ``perturbation_ms`` and raw
-  ``perturbation_builds`` of a test-09 ``perturbation_residual`` at
-  ``s_steps`` 10 and 20 on a fresh n = 900 grid;
+  arguments of one raw build (n 900, dt 1e-3); ``heat_kernel_scalar_us``,
+  us per all-scalar ``heat_kernel`` call at the test-09 pair (x = 1.2 and
+  y = 2.0 snapped to the grid-14 n = 900 nodes) at t = 0.5 and 0.01;
+  ``perturbation_ms`` and raw ``perturbation_builds`` of a test-09
+  ``perturbation_residual`` at ``s_steps`` 10 and 20 on a fresh n = 900 grid;
 - ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``)
   and ``grid900`` (grid 14, n = 900, V = 1/x on its section of [0, 8]):
   ``k_ms``, ``bessel_pairs`` (Bessel factors one check evaluates),
@@ -158,6 +160,14 @@ def kernel_probe(bh) -> dict:
     out["bessel_evals_kernel_args"] = sum(np.size(z) for _, z in calls)
     ms = best_ms(lambda: [bh.bessel_i_scaled_ratio(m.kernel_order, z) for _, z in calls])
     out["bessel_evals_per_s_kernel_args"] = round(1e3 * out["bessel_evals_kernel_args"] / ms)
+
+    g = grid14(bh, 900)
+    x, y = (float(g.nodes[g.index_of(p)]) for p in (1.2, 2.0))
+    out["heat_kernel_scalar_us"] = {}
+    calls = 200
+    for t in (0.5, 0.01):
+        ms = best_ms(lambda: [bh.heat_kernel(m, t, x, y) for _ in range(calls)])
+        out["heat_kernel_scalar_us"][str(t)] = round(1e3 * ms / calls, 1)
 
     v = bh.Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
     scheme = bh.SplittingScheme(steps_per_unit=16.0, min_steps=2)
