@@ -244,6 +244,8 @@ def check_superharmonic(
     carries a Gaussian-tail bound on the truncated contribution per time and
     the monotonicity check allows for it.
     """
+    if not 0.0 <= rel_slack < math.inf:  # also rejects NaN
+        raise InvalidInput(f"rel_slack must be nonnegative and finite, got {float(rel_slack)!r}")
     iz = grid.index_of(z)
     z = float(grid.nodes[iz])
     requested = np.sort(np.asarray(u_grid, dtype=np.float64))

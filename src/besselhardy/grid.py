@@ -191,9 +191,6 @@ class CellRange:
     def length(self) -> float:
         return float(self.grid.edges[self.i1] - self.grid.edges[self.i0])
 
-    def __len__(self) -> int:
-        return self.i1 - self.i0
-
 
 class GridFunction:
     """Function sampled at grid nodes; norms use the grid's exact weights."""
@@ -236,10 +233,6 @@ class GridFunction:
     def linf(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def __add__(self, other: "GridFunction") -> "GridFunction":
-        self._check(other)
-        return GridFunction(self.grid, self.values + other.values)
-
     def __sub__(self, other: "GridFunction") -> "GridFunction":
         self._check(other)
         return GridFunction(self.grid, self.values - other.values)
@@ -248,6 +241,3 @@ class GridFunction:
         return GridFunction(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())

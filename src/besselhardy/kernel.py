@@ -29,8 +29,9 @@ or column's mu-mass.  Every kept entry is the formula bit for bit.  Between
 the cut and the underflow of the Gaussian factor lie about half of the
 pairs a band would otherwise evaluate, and every subnormal entry, which
 makes dense matvecs up to twice as slow; the matrix holds neither.  The
-band is walked around the diagonal in row blocks of bounded size, and the
-Bessel kernels stop each argument at its own last term (see ``bessel``).
+band is evaluated straight into the blocks of the layout below, in row
+slices of bounded size, and the Bessel kernels stop each argument at its
+own last term (see ``bessel``).
 ``kernel_matrix`` caps that matrix to be sub-Markov in one closed-form
 pass and caches it on the grid (``grid._CACHE_BYTES``: a matrix asked for
 twice is kept apart from one-shot ones); it is the one matrix the
@@ -38,22 +39,25 @@ evolution uses.
 
 The cache holds that matrix as a ``BandMatrix``: dense blocks of
 ``_BAND_ROWS`` = 128 rows (the last one fewer, or one more where a single
-row would be left over), each over the columns from
-its first nonzero one, rounded down to a multiple of ``_BAND_ALIGN`` = 16,
-to its last, rounded up to a multiple of 16 and capped at n.  A product
-with a vector is one gemv per block.  128 rows: on the n = 420 grid of the
-warm evolution bench, a matvec took 30-34 us with 64-row blocks, 22-27 us
-dense and 21-26 us with 128-row blocks in one series of runs; a second
-series put all three within 20-27 us there, and 64 and 128 rows at 139-140
-us against 326 us dense at n = 900, dt = 2^-5 (2 vCPU, 1 BLAS thread).
-Fewer blocks cost fewer Python calls.  16 columns: with spans
+row would be left over), each over the columns from the first one its first
+row keeps, rounded down to a multiple of ``_BAND_ALIGN`` = 16, to the last
+one its last row keeps, rounded up to a multiple of 16 and capped at n.  The
+band edges give the spans, so a build allocates no n x n array: on the
+test-14 grid (n = 900) its ``tracemalloc`` peak was 1.6 MB at dt = 2^-17 and
+15.6 MB at dt = 3, against 8.3 and 17.1 MB for a dense fill packed after.  A
+product with a vector is one gemv per block.  128 rows: on the n = 420 grid
+of the warm evolution bench, a matvec took 30-34 us with 64-row blocks,
+22-27 us dense and 21-26 us with 128-row blocks in one series of runs; a
+second series put all three within 20-27 us there, and 64 and 128 rows at
+139-140 us against 326 us dense at n = 900, dt = 2^-5 (2 vCPU, 1 BLAS
+thread).  Fewer blocks cost fewer Python calls.  16 columns: with spans
 aligned to 8, 16, 32 or 64 columns the block product equalled the dense
 ``A @ x`` bit for bit in 320 of 320 trials (20 random vectors, dt 2^-5,
 2^-9, 2^-13 and 0.3, n = 320, 420, 900 and 1400), and with unaligned spans
 it differed in up to 20 of 20 (OpenBLAS 0.3.31; ``tests/test_kernel.py``
 checks the products bit for bit).  At n = 900 the blocks hold 0.2-0.45 of
-the dense bytes for dt <= 2^-5, and a matvec reads only those.  A grid of at most 128 nodes is one block
-over all n columns, the dense gemv.
+the dense bytes for dt <= 2^-5, and a matvec reads only those.  A grid of at
+most 128 nodes is one block over all n columns, the dense gemv.
 """
 
 from __future__ import annotations
@@ -234,7 +238,7 @@ MASS_CAP = 1.0 - 1e-12
 _MASS_TARGET = 1.0 - 1e-10
 
 
-# Row blocks of kernel_matrix hold at most this many candidate pairs.
+# Row slices that _raw_matrix evaluates at once hold at most this many candidate pairs.
 _BLOCK_PAIRS = 1 << 16
 _MASS_QUAD_LIMIT = 250  # subinterval budget of the quad in heat_kernel_mass_residual
 
@@ -261,45 +265,6 @@ def _zeros_line_aligned(size: int) -> np.ndarray:
     buf = np.zeros(size + 7)
     skip = (-buf.ctypes.data % 64) // 8
     return buf[skip : skip + size]
-
-
-def _raw_matrix(m: WeightedMeasure, grid: Grid, t: float) -> np.ndarray:
-    """P_t on the grid nodes, cut at a 2^-60 mass bound; unscaled and uncached.
-
-    Every entry kept is the formula bit for bit, and every entry dropped is
-    +0.0.  Row i keeps the band i <= j < hi_i with x_j - x_i <= sqrt(4 E t),
-    where ``_band_exponent`` gives E; by the bound in the module docstring
-    the dropped entries of any row or column carry at most 2^-60 of its
-    mu-mass (up to the rounding of the band edge).  The cut keeps the matrix
-    symmetric and positive, leaves no subnormal entry, and keeps the
-    diagonal even at E = 0.  The formula
-    is evaluated on the upper triangle only and mirrored: IEEE products and
-    squares commute, so P(x_i, x_j) and P(x_j, x_i) are the same float.
-    Rows are assembled in blocks of at most ``_BLOCK_PAIRS`` candidates (a
-    row is never split), so no array of order n^2 besides the matrix itself
-    is built.
-    """
-    _check_time(t)
-    t = float(t)
-    nodes = grid.nodes
-    n = nodes.size
-    edge = math.sqrt(4.0 * _band_exponent(m.kernel_order, t, n, grid.weights.max()) * t)
-    hi = np.searchsorted(nodes, nodes + edge, "right")
-    ends = np.cumsum(hi - np.arange(n))
-    mat = _zeros_line_aligned(n * n).reshape(n, n)
-    r0 = 0
-    while r0 < n:
-        start = ends[r0 - 1] if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(ends, start + _BLOCK_PAIRS, "right")))
-        c1 = hi[r1 - 1]  # hi is nondecreasing: the block's last column
-        cols = np.arange(r0, c1)
-        band = (cols >= np.arange(r0, r1)[:, None]) & (cols < hi[r0:r1, None])
-        x, y = np.broadcast_arrays(nodes[r0:r1, None], nodes[None, r0:c1])
-        vals = _kernel(m.kernel_order, t, x[band], y[band])
-        mat[r0:r1, r0:c1][band] = vals
-        mat[r0:c1, r0:r1].T[band] = vals
-        r0 = r1
-    return mat
 
 
 # Rows per BandMatrix block.  At n = 420, 64-row blocks took 30-34 us a
@@ -332,31 +297,29 @@ class BandMatrix:
 
     The layout is the module docstring's: blocks of ``_BAND_ROWS`` rows over
     column spans aligned to ``_BAND_ALIGN``, +0.0 outside them, each block
-    on a 64-byte line of one shared buffer.  ``A @ v`` for a vector of
+    on a 64-byte line of one shared buffer.  ``BandMatrix(lo, hi)`` is all
+    +0.0, laid out for the band whose row i is nonzero at most in
+    lo_i <= j < hi_i; ``_raw_matrix`` fills it.  ``A @ v`` for a vector of
     length n is one gemv per block and the dense product bit for bit;
     ``toarray`` gives the dense matrix and ``nbytes`` the bytes held.
     """
 
     __slots__ = ("shape", "nbytes", "blocks")
 
-    def __init__(self, dense: np.ndarray):
-        n = dense.shape[0]
-        spans = []
+    def __init__(self, lo: np.ndarray, hi: np.ndarray):
+        n = lo.size
         starts = list(range(0, n, _BAND_ROWS))
         if n - starts[-1] == 1:
             del starts[-1]
-        for r0, r1 in zip(starts, starts[1:] + [n]):
-            cols = np.flatnonzero(dense[r0:r1].any(axis=0))
-            spans.append((r0, r1, *_aligned_span(cols[0], cols[-1], n)))
+        # lo and hi are nondecreasing: a block spans its first row's lo to its last row's hi
+        spans = [(r0, r1, *_aligned_span(lo[r0], hi[r1 - 1] - 1, n)) for r0, r1 in zip(starts, starts[1:] + [n])]
         sizes = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans]
         lines = [-(-size // 8) * 8 for size in sizes]  # whole 64-byte lines of 8 floats
         buf = _zeros_line_aligned(sum(lines))
         blocks = []
         start = 0
         for (r0, r1, c0, c1), size, skip in zip(spans, sizes, lines):
-            block = buf[start : start + size].reshape(r1 - r0, c1 - c0)
-            block[...] = dense[r0:r1, c0:c1]
-            blocks.append((r0, r1, c0, c1, block))
+            blocks.append((r0, r1, c0, c1, buf[start : start + size].reshape(r1 - r0, c1 - c0)))
             start += skip
         self.shape = (n, n)
         self.nbytes = buf.nbytes
@@ -375,6 +338,51 @@ class BandMatrix:
         for r0, r1, c0, c1, block in self.blocks:
             out[r0:r1, c0:c1] = block
         return out
+
+
+def _raw_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
+    """P_t on the grid nodes as a ``BandMatrix``, cut at a 2^-60 mass bound; unscaled and uncached.
+
+    Every entry kept is the formula bit for bit, and every entry dropped is
+    +0.0.  Row i keeps the band i <= j < hi_i with x_j - x_i <= sqrt(4 E t),
+    where ``_band_exponent`` gives E; by the bound in the module docstring
+    the dropped entries of any row or column carry at most 2^-60 of its
+    mu-mass (up to the rounding of the band edge).  The cut keeps the matrix
+    symmetric and positive, leaves no subnormal entry, and keeps the
+    diagonal even at E = 0.  Row i's first kept column lo_i is the first j
+    with hi_j > i, and lo and hi lay out the blocks.  The formula is
+    evaluated on the upper band only, straight into the blocks, in slices of
+    whole rows of at most ``_BLOCK_PAIRS`` candidates, and each lower entry
+    is copied from its mirror: IEEE products and squares commute, so
+    P(x_i, x_j) and P(x_j, x_i) are the same float.  No n x n array is built.
+    """
+    _check_time(t)
+    t = float(t)
+    nodes = grid.nodes
+    n = nodes.size
+    edge = math.sqrt(4.0 * _band_exponent(m.kernel_order, t, n, grid.weights.max()) * t)
+    hi = np.searchsorted(nodes, nodes + edge, "right")
+    mat = BandMatrix(np.searchsorted(hi, np.arange(n), "right"), hi)
+    for b, (r0, r1, c0, c1, block) in enumerate(mat.blocks):
+        rows = max(1, _BLOCK_PAIRS // (hi[r1 - 1] - r0))
+        for s0 in range(r0, r1, rows):
+            s1 = min(s0 + rows, r1)
+            end = hi[s1 - 1]  # hi is nondecreasing: the slice's last column
+            cols = np.arange(s0, end)
+            band = (cols >= np.arange(s0, s1)[:, None]) & (cols < hi[s0:s1, None])
+            x, y = np.broadcast_arrays(nodes[s0:s1, None], nodes[None, s0:end])
+            block[s0 - r0 : s1 - r0, s0 - c0 : end - c0][band] = _kernel(m.kernel_order, t, x[band], y[band])
+        # the lower entries: the diagonal square's from its upper triangle,
+        # those left of r0 from the upper entries of the blocks above
+        square = block[:, r0 - c0 : r1 - c0]
+        lower = np.tri(r1 - r0, k=-1, dtype=bool)
+        square[lower] = square.T[lower]
+        for q0, q1, d0, d1, above in mat.blocks[:b]:
+            e = min(r1, d1)
+            if q1 > c0 and e > r0:
+                a = max(q0, c0)
+                block[: e - r0, a - c0 : q1 - c0] = above[a - q0 :, r0 - d0 : e - d0].T
+    return mat
 
 
 def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
@@ -402,9 +410,9 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     ``_BAND_ROWS`` = 128-row blocks over column spans aligned to
     ``_BAND_ALIGN`` = 16, the sizes for which a block matvec was measured
     no slower than the dense one and bit for bit equal to it (see the module
-    docstring); ``toarray`` gives the dense capped matrix.  The raw matrix
-    is packed first, the masses m_i are its band product and each block is
-    divided in place: a dense n x n gemv sums in an order that depends on
+    docstring); ``toarray`` gives the dense capped matrix.  ``_raw_matrix``
+    builds the raw matrix in that layout, the masses m_i are its band
+    product and each block is divided in place: a dense n x n gemv sums in an order that depends on
     the BLAS thread count, the band product does not, so the capped bits do
     not either, and no n x n divisor is built.
     """
@@ -414,7 +422,7 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     t = float(t)
     mat = grid.cache_get(t)
     if mat is None:
-        mat = BandMatrix(_raw_matrix(m, grid, t))
+        mat = _raw_matrix(m, grid, t)
         mass = mat @ grid.weights
         hot = mass > MASS_CAP
         if hot.any():
@@ -456,8 +464,8 @@ def heat_kernel_mass_residual(
     _check_time(t)
     if not 0.0 <= y < math.inf:  # also rejects NaN
         raise InvalidInput(f"point must be nonnegative and finite, got {float(y)!r}")
-    if quad_tolerance <= 0.0:
-        raise InvalidInput("tolerance must be positive")
+    if not 0.0 < quad_tolerance < math.inf:  # also rejects NaN
+        raise InvalidInput(f"tolerance must be positive and finite, got {float(quad_tolerance)!r}")
     nu, t, y = m.kernel_order, float(t), float(y)
     p = 1.0 + m.alpha
 

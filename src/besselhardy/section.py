@@ -211,9 +211,7 @@ def validate_section(
                 report.c0_observed = ratio
                 report.worst_pair = (str(prev), str(nxt))
     window = section.window
-    if ivs[0].a > window.a + touch_tol * ivs[0].length and not (
-        ivs[0].a <= window.a
-    ):
+    if ivs[0].a > window.a + touch_tol * ivs[0].length:
         report.coverage_ok = False
         report.coverage_gaps.append((window.a, ivs[0].a))
     if ivs[-1].b < window.b - touch_tol * ivs[-1].length:

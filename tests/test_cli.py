@@ -57,10 +57,15 @@ class TestParsing:
             (["--alpha", "inf"], "--alpha"),
             (["--tol", "mass=-1"], "--tol"),
             (["--tol", "mass_quad=0"], "--tol"),
+            (["--window", "4:1"], "--window"),
+            (["--grid", "4:30:60"], "--grid"),
+            (["--potential", "piece 0 1 1", "--potential-file", "{valid}"], "--potential"),
         ],
     )
     def test_input_error_exits_2_naming_flag(self, tmp_path, capsys, args, flag):
-        args = [a.format(missing=tmp_path / "missing.txt") for a in args]
+        valid = tmp_path / "valid.txt"  # a file that loads, so only the pairing with --potential is wrong
+        valid.write_text("piece 0 1 1\n")
+        args = [a.format(missing=tmp_path / "missing.txt", valid=valid) for a in args]
         assert main(["kernel", *args, "--out", str(tmp_path / "out")]) == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "out").exists()

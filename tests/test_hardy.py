@@ -28,7 +28,7 @@ from besselhardy import (
     validate_atom,
 )
 from besselhardy.grid import Grid
-from besselhardy.hardy import AtomKind
+from besselhardy.hardy import Atom, AtomKind
 from conftest import fit_slope
 
 V1 = Potential.constant(1.0)
@@ -57,6 +57,33 @@ class TestAtoms:
             make_cancellative_atom(grid_half, host, Interval(star2.a, star2.b + 0.5), beta=1.2)
         good = make_cancellative_atom(grid_half, host, Interval(1.1, 1.4), beta=1.2)
         validate_atom(good, beta=1.2)
+
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("mass outside the cells", "outside its support cells"),
+            ("too large", "exceeds its size bound"),
+            ("no mean zero", "mean-zero"),
+            ("no host", "needs a host"),
+            ("support outside I**", r"outside I\*\*"),
+        ],
+    )
+    def test_validate_atom_catches_each_defect(self, m_half, grid_half, defect, message):
+        good = make_cancellative_atom(grid_half, Interval(1.0, 1.5), Interval(1.1, 1.4), beta=1.2)
+        validate_atom(good, beta=1.2)
+        vals, cells, host = good.values.values.copy(), good.cells, good.host
+        if defect == "mass outside the cells":
+            vals[cells.i1] = vals[cells.i0]
+        elif defect == "too large":
+            vals *= 2.0
+        elif defect == "no mean zero":
+            vals[cells.i0 : cells.i1] = 0.5 * good.size_bound
+        elif defect == "no host":
+            host = None
+        else:
+            host = Interval(1.3, 1.35)  # its I** misses most of [1.1, 1.4]
+        with pytest.raises(SupportViolation, match=message):
+            validate_atom(Atom(good.kind, cells, GridFunction(grid_half, vals), host), beta=1.2)
 
     def test_random_atoms_validate(self, m_half, grid_half):
         rng = np.random.default_rng(17)

@@ -37,7 +37,7 @@ from besselhardy import grid as grid_module
 from besselhardy import kernel as kernel_module
 from besselhardy.bessel import bessel_i_scaled_ratio
 from besselhardy.grid import Grid
-from besselhardy.kernel import MASS_CAP, _MASS_TARGET, BandMatrix
+from besselhardy.kernel import MASS_CAP, _MASS_TARGET
 
 # rounding is absolute, not relative, among subnormal entries
 TINY = np.finfo(np.float64).tiny
@@ -283,7 +283,7 @@ class TestMatrixAssembly:
         m = WeightedMeasure(0.5)
         grid = Grid.build(m, 320, 30.0, 60.0)  # the CLI's default grid
         x = grid.nodes
-        raw = kernel_module._raw_matrix(m, grid, t)
+        raw = kernel_module._raw_matrix(m, grid, t).toarray()
         assert_cut_of(raw, heat_kernel(m, t, x[:, None], x[None, :]), grid.weights)
         assert_no_subnormal(raw)
 
@@ -295,7 +295,7 @@ class TestMatrixAssembly:
         grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
         x = grid.nodes
         gauss, want = full_square_kernel(m.kernel_order, t, x[:, None], x[None, :])
-        mat = kernel_module._raw_matrix(m, grid, t)
+        mat = kernel_module._raw_matrix(m, grid, t).toarray()
         assert_cut_of(mat, want, grid.weights)
         assert np.array_equal(mat, mat.T)
         # the cut ends the band before the Gaussian factor underflows
@@ -323,28 +323,27 @@ class TestMatrixAssembly:
         _, want = full_square_kernel(m.kernel_order, t, x, y)
         got = heat_kernel(m, t, x, y)
         assert np.array_equal(got, want) and not np.signbit(got[-1])
-        mat = kernel_module._raw_matrix(m, grid, t)
+        mat = kernel_module._raw_matrix(m, grid, t).toarray()
         assert_cut_of(mat, full_square_kernel(m.kernel_order, t, grid.nodes[:, None], grid.nodes)[1], grid.weights)
         assert_no_subnormal(mat)
         assert_no_subnormal(kernel_matrix(m, grid, t).toarray())
 
     @pytest.mark.parametrize("t", [1e-5, 1.0 / 32.0, 3.0])
     def test_block_size_moves_no_bit(self, monkeypatch, t):
-        # one row per block, blocks that split nothing evenly, and the default
+        # one row per evaluated slice, slices that split no block evenly, and the default
         m = WeightedMeasure(0.5)
         built = []
         for pairs in (1, 97, 1 << 16):
             monkeypatch.setattr(kernel_module, "_BLOCK_PAIRS", pairs)
             grid = grid_of_test14(m)
-            built.append((kernel_module._raw_matrix(m, grid, t), kernel_matrix(m, grid, t).toarray()))
+            built.append((kernel_module._raw_matrix(m, grid, t).toarray(), kernel_matrix(m, grid, t).toarray()))
         for raw, scaled in built[1:]:
             assert np.array_equal(raw, built[0][0])
             assert np.array_equal(scaled, built[0][1])
 
     def test_assembly_peak_memory(self):
-        # row blocks keep every array but the dense matrix itself small; at
-        # 2^-13 rows are hot and the cap divides the band blocks in place;
-        # the dense build and its band copy are the peak
+        # bounded row slices keep every array but the blocks small; at 2^-13
+        # rows are hot and the cap divides the blocks in place
         m = WeightedMeasure(0.5)
         for t in (3.0, 2.0**-13):
             grid = grid_of_test14(m)
@@ -357,13 +356,29 @@ class TestMatrixAssembly:
                 tracemalloc.stop()
             assert peak < 3 * n * n * 8
 
+    @pytest.mark.parametrize("t", [2.0**-13, 2.0**-17])
+    def test_narrow_band_build_needs_less_than_the_square(self, t):
+        # the band is evaluated straight into its blocks, so at small steps a
+        # build peaks below one dense matrix of 6.48 MB; a dense fill packed
+        # after peaked at 8.3-10.3 MB here
+        m = WeightedMeasure(0.5)
+        grid = grid_of_test14(m)
+        n = len(grid)
+        tracemalloc.start()
+        try:
+            kernel_matrix(m, grid, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+
     def test_matrix_starts_on_a_cache_line(self, m_half):
         # dense matvecs ran about 10% slower on a matrix 16 bytes past a page boundary
         grid = Grid.build(m_half, 420, 24.0, 80.0)
         for t in (1e-3, 0.1):
-            assert kernel_module._raw_matrix(m_half, grid, t).ctypes.data % 64 == 0
-            for *_, block in kernel_matrix(m_half, grid, t).blocks:
-                assert block.ctypes.data % 64 == 0
+            for build in (kernel_module._raw_matrix, kernel_matrix):
+                for *_, block in build(m_half, grid, t).blocks:
+                    assert block.ctypes.data % 64 == 0
 
     def test_mismatched_measure_rejected(self, grid_half):
         with pytest.raises(MixedGrids, match="alpha"):
@@ -411,14 +426,15 @@ class TestSubMarkov:
         m = WeightedMeasure(alpha)
         grid = Grid.build(m, n, x_max, ratio)
         mat = kernel_matrix(m, grid, dt).toarray()
-        raw = kernel_module._raw_matrix(m, grid, dt)
+        raw_band = kernel_module._raw_matrix(m, grid, dt)
+        raw = raw_band.toarray()
         assert_sub_markov(mat, grid.weights)
         assert np.all(mat >= 0.0) and np.all(np.diag(mat) > 0.0)
         assert np.all(mat <= raw)
         # one closed-form pass: rows under the cap are left alone, hot rows
         # and their columns are divided by max(c_i, c_j); the masses are the
         # band product, whose bits do not depend on the BLAS thread count
-        mass = BandMatrix(raw) @ grid.weights
+        mass = raw_band @ grid.weights
         if mass.max() <= MASS_CAP:
             assert np.array_equal(mat, raw)
         else:
@@ -433,11 +449,11 @@ def capped_dense(m, grid, t):
     gemv may sum in another order under two BLAS threads.
     """
     raw = kernel_module._raw_matrix(m, grid, t)
-    mass = BandMatrix(raw) @ grid.weights
+    mass = raw @ grid.weights
     if mass.max() <= MASS_CAP:
-        return raw
+        return raw.toarray()
     c = np.where(mass > MASS_CAP, mass / _MASS_TARGET, 1.0)
-    return raw / np.maximum.outer(c, c)
+    return raw.toarray() / np.maximum.outer(c, c)
 
 
 _PRODUCTS = """
@@ -445,9 +461,11 @@ import io, sys
 import numpy as np
 f = io.BytesIO(sys.stdin.buffer.read())
 mats, vs = np.load(f), np.load(f)
-if sys.argv[1] == "band":
-    from besselhardy.kernel import BandMatrix
-    mats = [BandMatrix(mat) for mat in mats]
+if sys.argv[1] == "band":  # mats holds times: the kernel matrices of the test-14 grid are built here
+    from besselhardy import Grid, WeightedMeasure, kernel_matrix
+    m = WeightedMeasure(0.5)
+    grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+    mats = [kernel_matrix(m, grid, t) for t in mats.tolist()]
 out = io.BytesIO()
 np.save(out, np.array([[mat @ v for v in vs] for mat in mats]))
 sys.stdout.buffer.write(out.getvalue())
@@ -472,7 +490,8 @@ def child_path():
 
 def products_in_child(threads, mats, vs, form="dense"):
     """``[[A @ v for v in vs] for A in mats]``, one gemv per product, in a fresh interpreter
-    with ``threads`` OpenBLAS threads; A is each dense matrix, or its BandMatrix for form "band".
+    with ``threads`` OpenBLAS threads.  A is each dense matrix, or for form "band" mats are
+    times and A is the child's own ``kernel_matrix`` of the test-14 grid at each.
 
     A process fixes its BLAS thread count when numpy loads.  Two threads may
     split a large gemv and sum its parts in another order, so a product's
@@ -515,11 +534,13 @@ class TestBandMatrix:
     def test_product_is_the_same_under_one_and_two_blas_threads(self):
         m = WeightedMeasure(0.5)
         grid = grid_of_test14(m)
-        mats = [kernel_matrix(m, grid, t).toarray() for t in (2.0**-5, 2.0**-9, 2.0**-13, 2.0**-17)]
+        times = [2.0**-5, 2.0**-9, 2.0**-13, 2.0**-17]
         rng = np.random.default_rng(7)
         vs = [grid.weights * rng.uniform(0.0, 1.0, len(grid)) for _ in range(5)]
-        one, two = (products_in_child(threads, mats, vs, "band") for threads in (1, 2))
+        one, two = (products_in_child(threads, times, vs, "band") for threads in (1, 2))
         assert one.tobytes() == two.tobytes()
+        # and they are this process's products
+        assert np.array_equal(one, [[kernel_matrix(m, grid, t) @ v for v in vs] for t in times])
 
     def test_capped_matrix_is_the_same_under_one_and_two_blas_threads(self):
         # the hot rows at 2^-17 are capped with masses that a dense gemv

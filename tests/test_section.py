@@ -158,6 +158,20 @@ class TestValidation:
         assert not rep.coverage_ok
         assert rep.coverage_gaps == [(1.0, 2.0)]
 
+    def test_gaps_at_the_window_edges_fail_coverage(self):
+        fam = ProperSection((Interval(1.0, 2.0),), 1.05, 1.0, Interval(0.0, 3.0))
+        rep = validate_section(fam, M)
+        assert not rep.coverage_ok and not rep.ok
+        assert rep.coverage_gaps == [(0.0, 1.0), (2.0, 3.0)]
+
+    def test_other_potential_fails_the_stopping_rule_with_a_witness(self):
+        sec = build_section(M, V1, Interval(0.0, 4.0))
+        rep = validate_section(sec, M, Potential.constant(16.0))
+        assert rep.stopping_ok is False and not rep.ok
+        assert rep.disjoint_ok and rep.coverage_ok
+        first = min(sec.intervals, key=lambda d: d.a)
+        assert rep.stopping_witness.startswith(f"{first}: F=")
+
     def test_power_potential_reports_finite_c0(self):
         v = Potential.power(1.0, 1.0)
         sec = build_section(M, v, Interval(0.0, 8.0))

@@ -693,6 +693,8 @@ BAD_CALLS = {
     "kernel_matrix time": lambda m, g, f: kernel_matrix(m, g, -1.0),
     "mass_residual time": lambda m, g, f: heat_kernel_mass_residual(m, 0.0, 1.0),
     "mass_residual tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, 0.0),
+    "mass_residual infinite tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, math.inf),
+    "mass_residual NaN tolerance": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, 1.0, math.nan),
     "mass_residual negative y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, -1.0),
     "mass_residual NaN y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, math.nan),
     "mass_residual infinite y": lambda m, g, f: heat_kernel_mass_residual(m, 1.0, math.inf),
@@ -775,6 +777,15 @@ BAD_CALLS = {
     ),
     "check_superharmonic NaN z": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), math.nan, [0.1], g),
     "check_superharmonic no times": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [], g),
+    "check_superharmonic NaN rel_slack": lambda m, g, f: check_superharmonic(
+        m, V1, v1_profile(m), 1.0, [0.1], g, rel_slack=math.nan
+    ),
+    "check_superharmonic infinite rel_slack": lambda m, g, f: check_superharmonic(
+        m, V1, v1_profile(m), 1.0, [0.1], g, rel_slack=math.inf
+    ),
+    "check_superharmonic negative rel_slack": lambda m, g, f: check_superharmonic(
+        m, V1, v1_profile(m), 1.0, [0.1], g, rel_slack=-1e-6
+    ),
     "check_condition_D centre past the grid": lambda m, g, f: check_condition_D(
         m, V1, v1_section(m), g, intervals=[DyadicInterval(4, 1)]
     ),

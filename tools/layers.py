@@ -11,7 +11,8 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
 
 - ``kernel``, at n in ``SIZES`` and dt in ``STEPS`` on fresh grid-14 grids
   (no cache hit is timed): ``build_ms`` of ``_raw_matrix``,
-  ``kernel_matrix_ms`` (build and cap), ``sha256`` and ``subnormal_entries``
+  ``kernel_matrix_ms`` (build and cap), ``build_peak_mb`` (the ``tracemalloc``
+  peak of one ``kernel_matrix`` call), ``sha256`` and ``subnormal_entries``
   of each raw and capped matrix, ``kept_pairs`` (nonzero raw i <= j),
   ``cache_mb`` (``BandMatrix.nbytes``); ``matvec_us`` of ``mat @ (w * v)``,
   ``band`` and ``dense`` (a line-aligned copy), at n in ``MATVEC_SIZES``;
@@ -71,6 +72,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +126,8 @@ def kernel_probe(bh) -> dict:
     from besselhardy import kernel as km
 
     m = bh.WeightedMeasure(0.5)
-    out: dict = {k: {} for k in ("build_ms", "kernel_matrix_ms", "kept_pairs", "subnormal_entries", "cache_mb")}
+    keys = ("build_ms", "kernel_matrix_ms", "build_peak_mb", "kept_pairs", "subnormal_entries", "cache_mb")
+    out: dict = {k: {} for k in keys}
     out.update(matvec_us={}, sha256={})
     for n in SIZES:
         for label, dt in STEPS.items():
@@ -132,7 +135,12 @@ def kernel_probe(bh) -> dict:
                 grids = [grid14(bh, n) for _ in range(REPEATS)]
                 out[key].setdefault(str(n), {})[label] = round(best_ms(lambda: build(m, grids.pop(), dt)), 2)
             g = grid14(bh, n)
-            raw, band = km._raw_matrix(m, g, dt), bh.kernel_matrix(m, g, dt)
+            tracemalloc.start()
+            band = bh.kernel_matrix(m, g, dt)
+            out["build_peak_mb"].setdefault(str(n), {})[label] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+            tracemalloc.stop()
+            raw = km._raw_matrix(m, g, dt)
+            raw = raw.toarray() if hasattr(raw, "toarray") else raw  # a BandMatrix, or dense in older trees
             out["cache_mb"].setdefault(str(n), {})[label] = round(band.nbytes / 1e6, 3)
             out["kept_pairs"][f"n={n} dt={label}"] = int(np.count_nonzero(np.triu(raw)))
             for kind, mat in (("raw", raw), ("scaled", band.toarray())):
