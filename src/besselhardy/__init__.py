@@ -3,7 +3,8 @@
 The measure is x^alpha dx on (0, inf).  The package evaluates the exact
 Bessel heat kernel, builds stopping-time interval sections from a potential,
 evolves the Schroedinger semigroup by Strang splitting with a Feynman-Kac
-Monte Carlo cross-check, and realizes the local Hardy-space atom machinery
+Monte Carlo cross-check (and, for superharmonic sweeps, spectrally, from a
+finite-volume generator), and realizes the local Hardy-space atom machinery
 (atoms, maximal functions, re-supporting) together with the large-time and
 small-time decay checks that sections are supposed to satisfy.
 """

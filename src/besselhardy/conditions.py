@@ -19,14 +19,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernel
+from . import generator, kernel
 from .errors import BalanceUnreachable, InvalidInput, QuadratureBudgetExceeded
 from .grid import Grid, GridFunction
 from .hardy import Bump
-from .kernel import _aligned_span, _check_count, heat_kernel, quad
+from .kernel import _aligned_span, _check_count, _check_time, heat_kernel, quad
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through, schrodinger_apply, step_lattice
+from .semigroup import evolve_through
 
 _BALANCE_TOL = 1e-10  # find_balanced_J bisects until |balance - 1| <= this,
 _BALANCE_ITER = 200  # or for this many steps
@@ -209,7 +209,7 @@ def phi_equation_residual(
 
 @dataclass
 class SuperharmonicReport:
-    us: np.ndarray  # the reached times of the step lattice, not the requested u
+    us: np.ndarray  # the requested u, sorted
     thetas: np.ndarray
     phi_at_z: float
     z: float
@@ -226,19 +226,14 @@ def check_superharmonic(
     z: float,
     u_grid,
     grid: Grid,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
     rel_slack: float = 1e-6,
 ) -> SuperharmonicReport:
     """Evolve the profile and test theta(u) = K_u phi(z): non-increasing, <= phi(z).
 
-    The sweep steps on ``step_lattice``: each leg's step is rounded up to a
-    power of two, at most 1 / ``scheme.steps_per_unit`` (a power of two,
-    1/32 by default), and the leg to whole steps, so the legs of all sweeps
-    on a grid share kernel matrices.
-    Rounding up keeps every step at least the one ``scheme.steps_for`` gives
-    the leg; rounding down would make grid cells wider against sqrt(dt),
-    which breaks discrete monotonicity.  The report's ``us``, thetas and tail
-    bars are at the reached times, each within half a step of its u.
+    K_u is the finite-volume semigroup of ``generator``: one cached spectrum
+    per (grid, V), then theta at every u, exact in time, with no kernel
+    build.  The report's ``us`` are the requested times, sorted; each must
+    be positive and finite.
 
     The profile grows like x^{1-alpha}, so the grid truncates it; the report
     carries a Gaussian-tail bound on the truncated contribution per time and
@@ -248,19 +243,15 @@ def check_superharmonic(
         raise InvalidInput(f"rel_slack must be nonnegative and finite, got {float(rel_slack)!r}")
     iz = grid.index_of(z)
     z = float(grid.nodes[iz])
-    requested = np.sort(np.asarray(u_grid, dtype=np.float64))
-    if requested.size == 0:
+    us = np.sort(np.asarray(u_grid, dtype=np.float64))
+    if us.size == 0:
         raise InvalidInput("need at least one time u")
-    current = profile.phi_gridfunction(grid)
+    for u in (us[0], us[-1]):  # the sort puts NaN last
+        _check_time(u)
     phi_z = float(profile.phi(z))
-    us, steps, dts = step_lattice(requested, scheme)
-    thetas = np.empty(us.size)
-    bars = np.empty(us.size)
-    for i, (u, k, dt) in enumerate(zip(us.tolist(), steps.tolist(), dts.tolist())):
-        if k:  # k steps of dt: the cached matrix of step dt
-            current = schrodinger_apply(m, potential, k * dt, current, scheme, n_steps=k)
-        thetas[i] = float(current.values[iz])
-        bars[i] = _tail_bound(m, profile, z, u, grid.x_max)
+    spec = generator.spectrum(m, grid, potential)
+    thetas = generator.sweep(spec, profile.phi_gridfunction(grid).values, iz, us)
+    bars = np.array([_tail_bound(m, profile, z, u, grid.x_max) for u in us.tolist()])
     worst = 0.0
     monotone = True
     for k in range(us.size - 1):

@@ -19,33 +19,24 @@ import numpy as np
 from .errors import InvalidInput, MixedGrids
 from .measure import Interval, WeightedMeasure
 
-# A grid caches kernel matrices (kernel.BandMatrix, n^2 8 bytes at most) in
-# two halves of _CACHE_BYTES // 2 each, a segmented LRU (Karedla, Love and
-# Wherry, IEEE Computer 27(3), 1994).  A matrix enters as new; a later get
+# A grid caches kernel matrices (kernel.BandMatrix, n^2 8 bytes at most) and
+# finite-volume spectra (generator.Spectrum, n^2 8 + 16 n bytes) in two
+# halves of _CACHE_BYTES // 2 each, a segmented LRU (Karedla, Love and
+# Wherry, IEEE Computer 27(3), 1994).  An entry enters as new; a later get
 # makes it reused.  At each put, while the reused half holds more than its
 # half, its least recently used entry goes back to the new half as that
 # half's newest; then, while the new half holds more than its half, its
 # least recently used entry is dropped.  The entry just put always stays.
-# Only a matrix asked for twice is kept from one-shot legs: a sweep on the
-# power-of-two step lattice reuses its matrices, a (D) or Duhamel leg does
-# not.  Builds per sweep_cold round after the first (grid 900; a round
-# makes 13 lattice matrices, 21 MB in all, 8 (D) legs of 3.6 MB mean and
-# 6 Duhamel legs of 2.3 MB mean), replayed over 12 rounds, and the peak
-# bytes held:
-#
-#   policy                     seed 21  seed 22  peak MB
-#   LRU, 16 entries               26.9     26.8  53.1 / 60.4
-#   LRU, 32 entries               13.0        -  92.8
-#   LRU, 40-48 MiB           26.8-26.9        -  40-48
-#   two halves of 32 MiB          27.6     29.2  31.7
-#   two halves of 40 MiB          17.6     17.8  39.7
-#   two halves of 48 MiB          15.8     14.8  47.7
-#   Belady optimum, 40 MB         12.4        -  40
-#
-# There is a cliff between 32 and 40 MiB: the reused half must hold the
-# 21 MB lattice set, or each round rebuilds it.  48 MiB raised the
-# sweep_cold peak RSS by 6%.  A new half under about 10 MiB thrashes at
-# n = 900, where a Duhamel check cycles through 3 legs.
+# Only an entry asked for twice is kept from one-shot legs: the spectrum
+# that every superharmonic sweep under one V reuses, and not a (D) or
+# Duhamel leg.  The cache probe of tools/layers.py (the test-14 grid at
+# n = 900; per round two V = 1 sweeps, a (D) check of 9 legs and a test-09
+# Duhamel pair) made 14, 8 and 8 kernel builds and 1, 0 and 0 spectra in
+# its three rounds, and held at most 41.7 MB.  The spectra of the
+# benchmark's two potentials at n = 900 take 13 MB of the reused half; one
+# at n = 1400 takes 15.7 MB.  48 MiB raised the sweep_cold peak RSS by 6%
+# when it was tried; a new half under about 10 MiB thrashes at n = 900,
+# where a Duhamel check cycles through 3 legs.
 _CACHE_BYTES = 40 * 2**20
 
 

@@ -63,6 +63,7 @@ most 128 nodes is one block over all n columns, the dense gemv.
 from __future__ import annotations
 
 import math
+import mmap
 import numbers
 from dataclasses import dataclass
 
@@ -256,12 +257,30 @@ def _band_exponent(nu: float, t: float, n: int, max_weight: float) -> float:
     return min(max(60.0 * math.log(2.0) + log_scale, 0.0), 800.0)
 
 
+# A buffer of at least this many bytes gets an anonymous memory map of its
+# own instead of malloc's heap (``_zeros_line_aligned``).  The grid cache
+# puts and drops matrices of 2-7 MB on grids of about 900 nodes, and from
+# malloc they fragmented its heap: on the sweep_cold grid it held 31-42 MB
+# free after 30-56 rounds (``mallinfo2``), and the run's peak RSS grew with
+# the rounds it ran.  With maps from 2 MiB up, the median peak RSS of ten
+# sweep_cold runs fell from 112.7 to 105.2 MB.  Smaller matrices stay
+# with malloc, which reuses their blocks: mapping every matrix of the CLI's
+# n = 320 grid raised its peak RSS 6.7% and its run time 17% in one pair,
+# since a fresh map faults in every page it is written to.
+_MAP_BYTES = 2 * 2**20
+
+
 def _zeros_line_aligned(size: int) -> np.ndarray:
     """``size`` zeros in a 1-D float array whose data starts on a 64-byte cache line.
 
-    A large fresh array starts 16 bytes past a page boundary; dense matvecs
-    with a matrix there ran about 10% slower than with a line-aligned one.
+    A large fresh array from malloc starts 16 bytes past a page boundary;
+    dense matvecs with a matrix there ran about 10% slower than with a
+    line-aligned one.  From ``_MAP_BYTES`` up the array is a map of its own,
+    which starts on a page and whose pages go back to the system when it is
+    freed.
     """
+    if 8 * size >= _MAP_BYTES:
+        return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), count=size)
     buf = np.zeros(size + 7)
     skip = (-buf.ctypes.data % 64) // 8
     return buf[skip : skip + size]
@@ -399,14 +418,13 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     result is positive and symmetric, so the discrete evolution is sub-Markov
     both in L-inf (the maximum principle) and in L1(mu); a matrix with no hot
     row is the raw one bit for bit.  The measure must be the grid's, so t
-    alone keys the grid's cache, and a hit returns the same object.  A new
-    matrix stays while it and the new matrices put after it fit in half of
-    ``grid._CACHE_BYTES`` (20 MiB).  A matrix asked for again moves to the
-    other half and stays there while it and the matrices reused after it
-    fit in 20 MiB, then goes back to the new half; so a sweep on the
-    power-of-two step lattice finds its matrices again after one-shot legs
-    have come and gone.  The matrix just built stays at least until the
-    next put.  The cache holds the capped matrix packed as
+    alone keys the matrix in the grid's cache, and a hit returns the same
+    object.  A new matrix stays while it and the new matrices put after it
+    fit in half of ``grid._CACHE_BYTES`` (20 MiB).  A matrix asked for again
+    moves to the other half and stays there while it and the matrices
+    reused after it fit in 20 MiB, then goes back to the new half; so a
+    matrix used again outlives one-shot legs.  The matrix just built stays
+    at least until the next put.  The cache holds the capped matrix packed as
     ``_BAND_ROWS`` = 128-row blocks over column spans aligned to
     ``_BAND_ALIGN`` = 16, the sizes for which a block matvec was measured
     no slower than the dense one and bit for bit equal to it (see the module

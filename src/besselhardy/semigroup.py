@@ -51,12 +51,8 @@ class SplittingScheme:
     """Strang factorization parameters.
 
     A leg of length t takes ``steps_for(t)`` equal steps of t / steps_for(t).
-    ``step_lattice`` instead rounds each leg's step up to a power of two, at
-    most 1 / ``steps_per_unit`` (which it requires to be a power of two), so
-    that legs of different lengths share kernel matrices; it never takes a
-    step smaller than ``steps_for`` gives the same leg, though a short leg
-    may take fewer than ``min_steps`` steps.  ``steps_per_unit`` must be
-    positive and finite, ``min_steps`` an integer of at least 1.
+    ``steps_per_unit`` must be positive and finite, ``min_steps`` an integer
+    of at least 1.
     """
 
     steps_per_unit: float = 32.0
@@ -205,47 +201,6 @@ def evolve_through(
             current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
             prev = t
         yield current
-
-
-def step_lattice(times, scheme: SplittingScheme = DEFAULT_SCHEME) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Reached times, step counts and step sizes of a sweep on power-of-two steps.
-
-    For each of the positive, finite, nondecreasing ``times`` the leg runs
-    from the previous *reached* time (0 at first) to t, of length l.  Its
-    step dt is the smallest power of two >= l / ``min_steps``, capped at
-    1 / ``steps_per_unit``, which must be a power of two; it takes max(1,
-    round(l / dt)) steps, so the reached time is within dt / 2 of t.  Below
-    the cap dt may reach 2 l / ``min_steps``, so a leg can take fewer than
-    ``min_steps`` steps (one, at the default of two).  A time equal to the
-    previous one, or not past the reached time, is an identity leg: 0 steps,
-    dt 0.0, the reached time unchanged.
-
-    The step sizes are absolute powers of two, so the legs of one sweep and
-    of sweeps over other times share kernel matrices.  Rounding dt up, and
-    the power-of-two cap, keep it >= l / ``steps_for(l)``, the step the
-    scheme gives the leg alone; rounding down would make cells wider against
-    sqrt(dt) and breaks the discrete monotonicity of some superharmonic
-    sweeps.
-    """
-    if math.frexp(scheme.steps_per_unit)[0] != 0.5:
-        raise InvalidInput(f"the step lattice needs a power-of-two steps_per_unit, got {scheme.steps_per_unit!r}")
-    cap = 1.0 / scheme.steps_per_unit
-    ts = np.asarray(times, dtype=np.float64)
-    reached = np.empty(ts.size)
-    steps = np.zeros(ts.size, dtype=np.int64)
-    dts = np.zeros(ts.size)
-    now = prev = 0.0
-    for i, t in enumerate(ts):
-        _check_time(t, prev)
-        leg = t - now
-        if t > prev and leg > 0.0:
-            frac, exp = math.frexp(leg / scheme.min_steps)  # = frac 2^exp, 1/2 <= frac < 1
-            dts[i] = min(math.ldexp(1.0, exp - (frac == 0.5)), cap)
-            steps[i] = max(1, round(leg / dts[i]))
-            now += steps[i] * dts[i]
-        reached[i] = now
-        prev = float(t)
-    return reached, steps, dts
 
 
 def heat_evolve(

@@ -1,0 +1,195 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from besselhardy import Grid, Interval, MixedGrids, Potential, WeightedMeasure, heat_kernel
+from besselhardy import generator
+from conftest import fv_generator
+
+
+def semigroup_matrix(spec: generator.Spectrum, t: float) -> np.ndarray:
+    """K_t = W^-1/2 U e^(-t lam) U^T W^1/2 as a dense matrix."""
+    u = spec.vectors
+    return ((u * np.exp(-t * spec.lam)) @ u.T) / spec.sqrt_w[:, None] * spec.sqrt_w
+
+
+@st.composite
+def grids_and_potentials(draw):
+    """A random grid with a potential of up to three pieces plus a power term."""
+    alpha = draw(st.floats(min_value=0.2, max_value=3.0))
+    x_max = draw(st.floats(min_value=2.0, max_value=60.0))
+    m = WeightedMeasure(alpha)
+    n = draw(st.integers(min_value=8, max_value=150))
+    grid = Grid.build(m, n, x_max, draw(st.floats(min_value=1.0, max_value=1000.0)))
+    pieces = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        a = draw(st.floats(min_value=0.0, max_value=x_max))
+        value = draw(st.floats(min_value=0.0, max_value=5.0, allow_subnormal=False))
+        pieces.append((a, a + draw(st.floats(min_value=0.01, max_value=20.0)), value))
+    coeff = draw(st.floats(min_value=0.0, max_value=2.0, allow_subnormal=False))
+    exponent = draw(st.floats(min_value=-1.0, max_value=0.95 + alpha))
+    return m, grid, Potential(pieces=tuple(pieces), power_coeff=coeff, power_exponent=exponent)
+
+
+# Rounding of eigh: over random grids whose cell masses span up to 1e15,
+# positivity and the constant-potential identity read up to 3.8e-13 and
+# 2.9e-13 of the data pointwise, symmetry and the semigroup law (in L2(mu))
+# under 3e-15.
+EXACT = 1e-14
+SPECTRAL = 1e-12
+
+
+class TestStructure:
+    """K_t keeps the structure of the continuous semigroup, up to the rounding of one eigh."""
+
+    @given(case=grids_and_potentials(), t=st.floats(min_value=1e-4, max_value=5.0))
+    @settings(max_examples=60, deadline=None)
+    def test_symmetric_in_l2_mu(self, case, t):
+        m, grid, v = case
+        wk = grid.weights[:, None] * semigroup_matrix(generator.spectrum(m, grid, v), t)
+        assert np.max(np.abs(wk - wk.T)) <= EXACT * np.max(np.abs(wk))
+
+    @given(case=grids_and_potentials(), t=st.floats(min_value=1e-4, max_value=5.0), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_positive_and_sub_markov_killed_at_x_max(self, case, t, seed):
+        m, grid, v = case
+        f = np.random.default_rng(seed).uniform(0.0, 1.0, len(grid))
+        kf = semigroup_matrix(generator.spectrum(m, grid, v), t) @ f
+        assert kf.min() >= -SPECTRAL and kf.max() <= 1.0 + SPECTRAL
+        # value 0 at x_max: with V = 0 the chain loses its mass there, and by
+        # t = x_max^2 most of it
+        free = semigroup_matrix(generator.spectrum(m, grid, Potential.zero()), grid.x_max**2)
+        assert (free @ np.ones(len(grid))).max() < 0.5
+
+    @given(
+        case=grids_and_potentials(),
+        s=st.floats(min_value=1e-4, max_value=5.0),
+        t=st.floats(min_value=1e-4, max_value=5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_semigroup_law(self, case, s, t, seed):
+        m, grid, v = case
+        spec = generator.spectrum(m, grid, v)
+        f = np.random.default_rng(seed).uniform(0.0, 1.0, len(grid))
+        two_legs = semigroup_matrix(spec, s) @ (semigroup_matrix(spec, t) @ f)
+        gap = two_legs - semigroup_matrix(spec, s + t) @ f
+        # in L2(mu), the norm the spectrum is orthogonal in: pointwise, a cell
+        # of tiny mass sees its neighbours' rounding scaled by sqrt(w_j / w_i)
+        assert math.sqrt(grid.weights @ gap**2) <= EXACT * math.sqrt(grid.weights @ f**2)
+
+    @given(
+        case=grids_and_potentials(),
+        c=st.floats(min_value=0.0, max_value=3.0),
+        t=st.floats(min_value=1e-4, max_value=5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_constant_potential_is_a_factor(self, case, c, t, seed):
+        m, grid, _ = case
+        f = np.random.default_rng(seed).uniform(0.0, 1.0, len(grid))
+        killed = semigroup_matrix(generator.spectrum(m, grid, Potential.constant(c, (0.0, grid.x_max + 1.0))), t) @ f
+        free = semigroup_matrix(generator.spectrum(m, grid, Potential.zero()), t) @ f
+        assert np.max(np.abs(killed - math.exp(-c * t) * free)) <= SPECTRAL
+
+    @given(case=grids_and_potentials())
+    @settings(max_examples=60, deadline=None)
+    def test_cell_means_are_the_closed_form(self, case):
+        m, grid, v = case
+        vbar = generator.cell_means(m, grid, v)
+        e = grid.edges.tolist()
+        cells = [m.potential_integral(v, Interval(a, b)) for a, b in zip(e[:-1], e[1:])]
+        np.testing.assert_allclose(vbar * grid.weights, cells, rtol=EXACT, atol=0.0)
+        # the cells tile (0, x_max]
+        whole = m.potential_integral(v, Interval(0.0, grid.x_max))
+        assert math.fsum(cells) == pytest.approx(whole, rel=1e-13, abs=1e-300)
+
+    def test_spectrum_is_the_dense_generator(self, m_half):
+        grid = Grid.build(m_half, 60, 8.0, 30.0)
+        v = Potential(pieces=((0.5, 2.0, 1.5),), power_coeff=0.3, power_exponent=1.2)
+        spec = generator.spectrum(m_half, grid, v)
+        a_v = fv_generator(m_half, grid, v)
+        rebuilt = (spec.vectors * spec.lam) @ spec.vectors.T / spec.sqrt_w[:, None] * spec.sqrt_w
+        assert np.max(np.abs(rebuilt - a_v)) <= 1e-12 * np.max(np.abs(a_v))
+
+    def test_cached_per_potential_on_the_grid_of_its_measure(self, m_half):
+        grid = Grid.build(m_half, 40, 8.0, 10.0)
+        spec = generator.spectrum(m_half, grid, Potential.constant(1.0))
+        assert generator.spectrum(m_half, grid, Potential.constant(1.0)) is spec
+        assert generator.spectrum(m_half, grid, Potential.zero()) is not spec
+        assert grid.cache_get(Potential.constant(1.0)).nbytes == 8 * 40 * 40 + 16 * 40
+        with pytest.raises(MixedGrids):
+            generator.spectrum(WeightedMeasure(0.7), grid, Potential.zero())
+
+
+@pytest.mark.parametrize("alpha", [0.3, 2.0])
+def test_free_semigroup_converges_to_the_heat_kernel(alpha):
+    """V = 0 against quadrature of P_t f: the error falls about 4x as n doubles."""
+    m = WeightedMeasure(alpha)
+    t = 0.05
+
+    def f(x):
+        return np.exp(-2.0 * (x - 2.0) ** 2)
+
+    errors = []
+    for n in (100, 200, 400):
+        grid = Grid.build(m, n, 12.0, 30.0)
+        spec = generator.spectrum(m, grid, Potential.zero())
+        error = 0.0
+        for i in (grid.index_of(x) for x in (0.5, 2.0, 3.0)):
+            x = float(grid.nodes[i])
+            want = quad(
+                lambda y: heat_kernel(m, t, x, y) * f(y) * y**alpha, 0.0, 8.0, points=[2.0], epsabs=1e-13, epsrel=1e-12, limit=200
+            )[0]
+            error = max(error, abs(generator.sweep(spec, f(grid.nodes), i, np.array([t]))[0] - want))
+        errors.append(error)
+    assert errors[0] < 1e-3
+    assert errors[0] > 3.0 * errors[1] > 9.0 * errors[2]
+
+
+_THETAS = """
+import hashlib, math, sys, tempfile, contextlib, io
+from pathlib import Path
+import numpy as np
+from besselhardy import Grid, Interval, Potential, WeightedMeasure, build_section, check_superharmonic, find_balanced_J
+from besselhardy.cli import main
+m, v = WeightedMeasure(0.5), Potential.power(1.0, 1.0)
+profile = find_balanced_J(m, v, build_section(m, v, Interval(0.0, 8.0)).intervals[5])
+us = profile.host.length**2 * np.exp(np.linspace(math.log(1e-3), math.log(100.0), 21))
+for n in (320, 900):
+    grid = Grid.build(m, n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+    print(check_superharmonic(m, v, profile, profile.host.to_interval().center, us, grid).thetas.tobytes().hex())
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    main(["conditions", "--out", out])
+    digest = hashlib.sha256((Path(out) / "superharmonic.csv").read_bytes()).hexdigest()
+print(digest)
+"""
+
+
+def test_sweep_under_one_and_two_blas_threads():
+    """A process fixes its BLAS thread count when numpy loads, so each count runs in a child.
+
+    The sweep's own sums are numpy reductions; only eigh depends on the count.
+    At n = 320 (the CLI's grid size) the thetas and ``superharmonic.csv`` are
+    the same bits; at n = 900 eigh's eigenvectors moved the thetas by up to
+    8.7e-15 relative.
+    """
+    src = str(Path(generator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    runs = []
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _THETAS], env=env, capture_output=True, text=True, check=True)
+        runs.append(out.stdout.split())
+    (small1, large1, csv1), (small2, large2, csv2) = runs
+    assert small1 == small2 and csv1 == csv2
+    one, two = (np.frombuffer(bytes.fromhex(h)) for h in (large1, large2))
+    assert np.max(np.abs(one - two) / one) <= 1e-13

@@ -686,8 +686,16 @@ class TestMatrixCache:
                 heat_evolve(m_half, float(t), ones, scheme)
         assert builds == []
 
-    def test_lattice_sweep_survives_one_shot_checks(self, m_half, builds):
-        """(D) and Duhamel legs between two lattice sweeps evict none of the sweep's matrices."""
+    def test_spectrum_survives_one_shot_checks(self, m_half, builds, monkeypatch):
+        """(D) and Duhamel legs between two sweeps evict neither spectrum the sweeps share."""
+        decompositions = []
+        eigh = np.linalg.eigh
+
+        def counted(a):
+            decompositions.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
         v1, vpow = Potential.constant(1.0), Potential.power(1.0, 1.0)
         grid = grid_of_test14(m_half)
         profile = find_balanced_J(m_half, v1, build_section(m_half, v1, Interval(0.0, 4.0)).intervals[0])
@@ -698,18 +706,18 @@ class TestMatrixCache:
             return check_superharmonic(m_half, v1, profile, z, us, grid).thetas
 
         first = sweep()
-        assert len(builds) == 9
         sweep()
-        assert len(builds) == 9
+        assert builds == [] and decompositions == [len(grid)]
         section = build_section(m_half, vpow, Interval(0.0, 8.0))
         check_condition_D(m_half, vpow, section, grid, intervals=[section.intervals[1]], n_max=8, steps_per_leg=9)
         v09 = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
         scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
         for s_steps in (10, 20):
             perturbation_residual(m_half, v09, 0.5, 1.2, 2.0, grid, s_steps=s_steps, scheme=scheme)
-        del builds[:]
+        assert builds  # the one-shot legs did build matrices
+        del builds[:], decompositions[:]
         third = sweep()
-        assert builds == []
+        assert builds == [] and decompositions == []
         assert np.array_equal(third, first)
 
 

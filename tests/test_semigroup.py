@@ -58,7 +58,6 @@ from besselhardy.grid import Grid
 from besselhardy.hardy import log_time_grid
 from besselhardy.measure import ball, enlarge, parse_potential
 from besselhardy.section import DyadicInterval
-from besselhardy.semigroup import step_lattice
 from conftest import fit_slope
 
 SCHEME = SplittingScheme(steps_per_unit=32.0, min_steps=2)
@@ -176,58 +175,6 @@ class TestSplitting:
             else:
                 heat_evolve(m_half, t, f, SCHEME)
         assert not grid._matrix_cache
-
-
-@st.composite
-def sweep_times(draw):
-    """Nondecreasing times with exact repeats and near-duplicates mixed in."""
-    times = []
-    for t in draw(st.lists(st.floats(min_value=1e-6, max_value=200.0), min_size=1, max_size=25)):
-        times.append(t)
-        extra = draw(st.sampled_from(["none", "repeat", "next float", "relative 1e-12"]))
-        if extra == "repeat":
-            times.append(t)
-        elif extra == "next float":
-            times.append(math.nextafter(t, math.inf))
-        elif extra == "relative 1e-12":
-            times.append(t * (1.0 + 1e-12))
-    return sorted(times)
-
-
-class TestStepLattice:
-    @given(
-        times=sweep_times(),
-        steps_per_unit=st.sampled_from([8.0, 16.0, 32.0]),
-        min_steps=st.sampled_from([1, 2, 3]),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_legs_step_on_powers_of_two(self, times, steps_per_unit, min_steps):
-        scheme = SplittingScheme(steps_per_unit=steps_per_unit, min_steps=min_steps)
-        reached, steps, dts = step_lattice(times, scheme)
-        assert np.all(np.diff(reached) >= 0.0)
-        now, last_dt = 0.0, 0.0
-        for i, (t, r, k, dt) in enumerate(zip(times, reached, steps, dts)):
-            if i and t == times[i - 1]:
-                assert k == 0 and r == now
-            if k:
-                leg = t - now
-                assert math.frexp(dt)[0] == 0.5  # a power of two
-                assert dt <= 1.0 / steps_per_unit
-                assert dt >= leg / scheme.steps_for(leg)
-                last_dt = dt
-            else:
-                assert dt == 0.0 and r == now
-            assert abs(r - t) <= 0.5 * last_dt + 2.0 * math.ulp(t)
-            now = r
-
-    def test_rounds_the_step_up(self):
-        # a leg of 0.0125 at two steps wants 0.00625: the step is 1/128, the
-        # leg two steps, so the sweep reaches 1/64; the long leg after it
-        # steps at the 1/32 cap
-        reached, steps, dts = step_lattice([0.0125, 0.0125, 1.02])
-        assert reached.tolist() == [1 / 64, 1 / 64, 1 / 64 + 1.0]
-        assert steps.tolist() == [2, 0, 32]
-        assert dts.tolist() == [1 / 128, 0.0, 1 / 32]
 
 
 class TestEvolutionProperties:
@@ -705,8 +652,6 @@ BAD_CALLS = {
     "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
     "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
     "evolve_through steps": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.1], n_steps=0)),
-    "step_lattice times": lambda m, g, f: step_lattice([0.2, 0.1]),
-    "step_lattice steps_per_unit": lambda m, g, f: step_lattice([0.2], SplittingScheme(steps_per_unit=24.0)),
     "SplittingScheme steps_per_unit": lambda m, g, f: SplittingScheme(steps_per_unit=math.nan),
     "SplittingScheme min_steps": lambda m, g, f: SplittingScheme(min_steps=0),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),
@@ -777,6 +722,10 @@ BAD_CALLS = {
     ),
     "check_superharmonic NaN z": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), math.nan, [0.1], g),
     "check_superharmonic no times": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [], g),
+    "check_superharmonic NaN time": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [0.1, math.nan], g),
+    "check_superharmonic zero time": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [0.1, 0.0], g),
+    "check_superharmonic negative time": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [-0.1, 0.2], g),
+    "check_superharmonic infinite time": lambda m, g, f: check_superharmonic(m, V1, v1_profile(m), 1.0, [math.inf, 0.2], g),
     "check_superharmonic NaN rel_slack": lambda m, g, f: check_superharmonic(
         m, V1, v1_profile(m), 1.0, [0.1], g, rel_slack=math.nan
     ),

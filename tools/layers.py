@@ -10,8 +10,9 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
 ``src_lines`` (lines of ``DIR/besselhardy/*.py``) and
 
 - ``kernel``, at n in ``SIZES`` and dt in ``STEPS`` on fresh grid-14 grids
-  (no cache hit is timed): ``build_ms`` of ``_raw_matrix``,
-  ``kernel_matrix_ms`` (build and cap), ``build_peak_mb`` (the ``tracemalloc``
+  (no cache hit is timed): ``build_ms`` of ``_raw_matrix`` and
+  ``kernel_matrix_ms`` (build and cap), each the median of ``BUILDS`` builds
+  after ``WARMUP_BUILDS`` untimed ones, ``build_peak_mb`` (the ``tracemalloc``
   peak of one ``kernel_matrix`` call), ``sha256`` and ``subnormal_entries``
   of each raw and capped matrix, ``kept_pairs`` (nonzero raw i <= j),
   ``cache_mb`` (``BandMatrix.nbytes``); ``matvec_us`` of ``mat @ (w * v)``,
@@ -44,12 +45,20 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   its values (the mass residuals and ``converged`` flags, the residuals, the
   bars);
 - ``cache``: 3 rounds on one fresh grid-14 n = 900 grid, each of two V = 1
-  ``check_superharmonic`` sweeps on the step lattice, one
-  ``check_condition_D`` on the V = 1/x section of [0, 8] (9 steps per leg)
-  and a test-09 ``perturbation_residual`` pair (``s_steps`` 10 and 20):
-  ``builds`` (raw builds per round), ``round_ms`` (per round, one run),
-  ``cache_mb_peak`` (the most ``BandMatrix.nbytes`` the grid held after a
-  put) and ``sha256`` per round of its thetas, (D) values and Duhamel sides;
+  ``check_superharmonic`` sweeps, one ``check_condition_D`` on the V = 1/x
+  section of [0, 8] (9 steps per leg) and a test-09 ``perturbation_residual``
+  pair (``s_steps`` 10 and 20): ``builds`` (raw builds per round),
+  ``decompositions`` (``np.linalg.eigh`` calls per round), ``round_ms`` (per
+  round, one run), ``cache_mb_peak`` (the most ``nbytes`` of matrices and
+  spectra the grid held after a put) and ``sha256`` per round of its
+  thetas, (D) values and Duhamel sides;
+- ``superharmonic``: ``eigh_ms`` (one cold ``generator.spectrum`` of V = 1,
+  the assembly of T and its ``eigh``, on a fresh grid 14) and
+  ``eigh_peak_mb`` (its ``tracemalloc`` peak) at n in ``SIZES``, on trees
+  that have ``generator``; ``sweep_ms`` of a warm ``check_superharmonic``
+  over 21 u for each of the four ``sweep_cold`` profiles on grid 14,
+  n = 900 (untimed once first, so its spectrum or matrices are cached), and
+  ``sha256`` of each sweep's ``us``, thetas and tail bars;
 - ``evolve``: ``schrodinger_apply`` of f = exp(-(x - 2)^2) under V = 1/x with
   ``n_steps`` k in ``EVOLVE_STEPS`` and t = k dt for dt in ``EVOLVE_DT``, on
   ``grid900`` (grid 14, n = 900), ``warm420`` (the ``evolve_warm`` grid) and
@@ -78,6 +87,8 @@ from pathlib import Path
 import numpy as np
 
 REPEATS = 5
+BUILDS = 11
+WARMUP_BUILDS = 3
 CLI_SEEDS = (0, 3)
 SIZES = (320, 900, 1400)
 STEPS = {"1e-4": 1e-4, "1e-3": 1e-3, "1/32": 1.0 / 32.0, "1": 1.0}
@@ -86,6 +97,18 @@ MATVECS = 200
 BESSEL_EVALS = 1_000_000
 EVOLVE_DT = {"2^-6": 2.0**-6, "2^-4": 2.0**-4, "2^-2": 0.25, "1": 1.0}
 EVOLVE_STEPS = (4, 16, 128)
+
+
+def median_ms(run) -> float:
+    """The median wall time of ``BUILDS`` calls of ``run()`` after ``WARMUP_BUILDS`` untimed ones, in ms."""
+    for _ in range(WARMUP_BUILDS):
+        run()
+    times = []
+    for _ in range(BUILDS):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return 1e3 * float(np.median(times))
 
 
 def best_ms(run) -> float:
@@ -132,8 +155,8 @@ def kernel_probe(bh) -> dict:
     for n in SIZES:
         for label, dt in STEPS.items():
             for key, build in (("build_ms", km._raw_matrix), ("kernel_matrix_ms", bh.kernel_matrix)):
-                grids = [grid14(bh, n) for _ in range(REPEATS)]
-                out[key].setdefault(str(n), {})[label] = round(best_ms(lambda: build(m, grids.pop(), dt)), 2)
+                grids = [grid14(bh, n) for _ in range(WARMUP_BUILDS + BUILDS)]
+                out[key].setdefault(str(n), {})[label] = round(median_ms(lambda: build(m, grids.pop(), dt)), 2)
             g = grid14(bh, n)
             tracemalloc.start()
             band = bh.kernel_matrix(m, g, dt)
@@ -277,7 +300,7 @@ def import_probe(bh) -> dict:
 
 
 def quad_probe(bh) -> dict:
-    from besselhardy import cli, conditions, semigroup
+    from besselhardy import cli, conditions
 
     cfg = cli.RunConfig()
     m = cfg.measure
@@ -286,7 +309,7 @@ def quad_probe(bh) -> dict:
     host = section.intervals[min(1, len(section.intervals) - 1)]
     profile = bh.find_balanced_J(m, cfg.potential, host)
     z = float(grid.nodes[grid.index_of(host.to_interval().center)])
-    us = semigroup.step_lattice(host.length**2 * np.geomspace(0.05, 64.0, 9))[0]
+    us = host.length**2 * np.geomspace(0.05, 64.0, 9)
     j = profile.balanced
     bumps = (conditions.SmoothBump(j.a, j.b), conditions.LeftPlateauBump(0.25 * j.a + 1e-3, j.b))
 
@@ -322,7 +345,7 @@ def cache_probe(bh) -> dict:
 
     def tracked_put(key, value):
         put(key, value)
-        peak[0] = max(peak[0], sum(mat.nbytes for mat in grid._matrix_cache.values()))
+        peak[0] = max(peak[0], sum(entry.nbytes for entry in grid._matrix_cache.values()))
 
     grid.cache_put = tracked_put
 
@@ -335,16 +358,55 @@ def cache_probe(bh) -> dict:
             outputs.append([rep.lhs, rep.rhs])
         return outputs
 
-    out: dict = {"builds": [], "round_ms": [], "sha256": {}}
+    out: dict = {"builds": [], "decompositions": [], "round_ms": [], "sha256": {}}
     for k in range(1, 4):
         builds: list = []
-        with recording(km, "_raw_matrix", builds):
+        eighs: list = []
+        with recording(km, "_raw_matrix", builds), recording(np.linalg, "eigh", eighs):
             t0 = time.perf_counter()
             outputs = one_round()
             out["round_ms"].append(round(1e3 * (time.perf_counter() - t0), 1))
         out["builds"].append(len(builds))
+        out["decompositions"].append(len(eighs))
         out["sha256"][f"round {k}"] = sha256(*outputs)
     out["cache_mb_peak"] = round(peak[0] / 1e6, 2)
+    return out
+
+
+def superharmonic_probe(bh) -> dict:
+    m = bh.WeightedMeasure(0.5)
+    v1, vpow = bh.Potential.constant(1.0), bh.Potential.power(1.0, 1.0)
+    out: dict = {"eigh_ms": {}, "eigh_peak_mb": {}, "sweep_ms": {}, "sha256": {}}
+    try:
+        from besselhardy import generator
+    except ImportError:  # a tree before the finite-volume generator
+        generator = None
+    if generator is not None:
+        for n in SIZES:
+            grids = [grid14(bh, n) for _ in range(REPEATS)]
+            out["eigh_ms"][str(n)] = round(best_ms(lambda: generator.spectrum(m, grids.pop(), v1)), 1)
+            tracemalloc.start()
+            generator.spectrum(m, grid14(bh, n), v1)
+            out["eigh_peak_mb"][str(n)] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+            tracemalloc.stop()
+    sec1, sec_pow = bh.build_section(m, v1, bh.Interval(0.0, 4.0)), bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
+    profiles = {
+        "V=1 I0": (v1, sec1.intervals[0]),
+        "V=1 I1": (v1, sec1.intervals[1]),
+        "V=1/x I1": (vpow, sec_pow.intervals[1]),
+        "V=1/x I5": (vpow, sec_pow.intervals[5]),
+    }
+    grid = grid14(bh, 900)
+    for name, (v, host) in profiles.items():
+        profile = bh.find_balanced_J(m, v, host)
+        us = host.length**2 * np.exp(np.linspace(math.log(1e-3), math.log(100.0), 21))
+
+        def run():
+            return bh.check_superharmonic(m, v, profile, host.to_interval().center, us, grid)
+
+        rep = run()  # untimed, so the timed calls find its spectrum or kernel matrices cached
+        out["sweep_ms"][name] = round(best_ms(run), 2)
+        out["sha256"][name] = sha256(rep.us, rep.thetas, rep.truncation_bars)
     return out
 
 
@@ -401,6 +463,7 @@ def main() -> None:
         "import": import_probe,
         "quad": quad_probe,
         "cache": cache_probe,
+        "superharmonic": superharmonic_probe,
         "evolve": evolve_probe,
     }
     for name, probe in probes.items():
