@@ -291,14 +291,13 @@ def run_hardy_suite(cfg: RunConfig) -> list[CheckResult]:
     m = cfg.measure
     section = sc.build_section(m, cfg.potential, cfg.window, beta=1.2)
     grid = _grid_for(cfg, section)
-    scheme = sg.SplittingScheme(steps_per_unit=8.0, min_steps=2)
 
     def local_atom_uniformity():
         rows = []
         norms = []
         for d in section:
             atom = hd.make_local_atom(grid, d.to_interval())
-            res = hd.local_hardy_norm(m, Potential.zero(), atom.values, d.length, n_times=14, scheme=scheme)
+            res = hd.local_hardy_norm(m, Potential.zero(), atom.values, d.length, n_times=14)
             norms.append(res.value)
             rows.append((str(d), d.length, res.value, res.value_half_range, res.value_double_range))
         write_csv(

@@ -5,10 +5,6 @@ class BesselHardyError(Exception):
     pass
 
 
-class NonLocallyIntegrable(BesselHardyError):
-    """Potential fails the local integrability requirement for the weight."""
-
-
 class DegeneratePotential(BesselHardyError):
     """Stopping functional never exceeds 1, so no maximal interval exists."""
 
@@ -35,6 +31,10 @@ class QuadratureBudgetExceeded(BesselHardyError):
 
 class InvalidInput(BesselHardyError, ValueError):
     """An argument is outside the domain an entry point accepts."""
+
+
+class NonLocallyIntegrable(InvalidInput):
+    """Potential fails the local integrability requirement for the weight."""
 
 
 class ConfigError(BesselHardyError):

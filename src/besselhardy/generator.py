@@ -25,9 +25,10 @@ masses span up to 1e15, the rounding of ``eigh`` moved each of these by at
 most 4e-13 of the data.
 
 The spectrum (lam, U, sqrt(w)) is cached on the grid per potential
-(``Grid.cache_get``), in the same byte budget as the kernel matrices.  Only
-the superharmonic sweep of ``conditions`` uses it; every other evolution is
-the Strang splitting of ``semigroup``.
+(``Grid.cache_get``), in the same byte budget as the kernel matrices.  The
+superharmonic sweep of ``conditions`` and the maximal function and Hardy
+norms of ``hardy`` use it; condition (D), the Duhamel check and every other
+evolution are the Strang splitting of ``semigroup``.
 """
 
 from __future__ import annotations
@@ -97,13 +98,15 @@ def spectrum(m: WeightedMeasure, grid: Grid, potential: Potential) -> Spectrum:
     return spec
 
 
-def sweep(spec: Spectrum, f: np.ndarray, node: int, times: np.ndarray) -> np.ndarray:
-    """(K_t f) at ``node`` for each t of ``times``.
+def sweep(spec: Spectrum, f: np.ndarray, rows, times: np.ndarray) -> np.ndarray:
+    """(K_t f) at the nodes ``rows`` for each t of ``times``.
 
-    c = U^T (sqrt(w) f) once, then sum_j U_node,j e^(-t lam_j) c_j / sqrt(w_node)
-    at every t.  Both products are ``np.einsum`` sums, which call no BLAS, so
-    their bits do not depend on the BLAS thread count.
+    ``rows`` is one node index, which gives one value per time, or a slice
+    or index array, which gives a (len(times), len(rows)) array.
+    c = U^T (sqrt(w) f) once, then sum_j U_row,j e^(-t lam_j) c_j / sqrt(w_row)
+    at every row and t.  Both products are ``np.einsum`` sums, which call no
+    BLAS, so their bits do not depend on the BLAS thread count.
     """
     c = np.einsum("ij,i->j", spec.vectors, spec.sqrt_w * f)
-    a = spec.vectors[node] * c / spec.sqrt_w[node]
-    return np.einsum("tj,j->t", np.exp(-np.multiply.outer(times, spec.lam)), a)
+    a = spec.vectors[rows] * c / spec.sqrt_w[rows, None]
+    return np.einsum("tj,...j->t...", np.exp(-np.multiply.outer(times, spec.lam)), a)

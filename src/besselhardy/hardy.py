@@ -21,12 +21,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import generator
 from .errors import CutoffViolation, InvalidInput, MixedGrids, SupportViolation
 from .grid import CellRange, Grid, GridFunction
-from .kernel import _check_count
+from .kernel import _check_count, _check_time
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import ProperSection
-from .semigroup import DEFAULT_SCHEME, SplittingScheme, evolve_through
 
 _RAMP_FRAC = 0.9  # a shared partition_of_unity ramp is _RAMP_FRAC (beta - 1) min(|I|, |J|) wide
 CANCELLATION_REL_TOL = 1e-10
@@ -277,21 +277,28 @@ def log_time_grid(t_min: float, t_max: float, n_times: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(t_min), math.log(t_max), n_times))
 
 
+def _sup_over_times(m: WeightedMeasure, potential: Potential, f: GridFunction, ts: np.ndarray) -> np.ndarray:
+    """|K_t f| at every node for each t of ``ts``, one row per time, from the grid's cached spectrum."""
+    spec = generator.spectrum(m, f.grid, potential)
+    return np.abs(generator.sweep(spec, f.values, slice(None), ts))
+
+
 def maximal_function(
     m: WeightedMeasure,
     potential: Potential,
     f: GridFunction,
     t_grid: Sequence[float],
-    scheme: SplittingScheme = DEFAULT_SCHEME,
 ) -> GridFunction:
-    """Node-wise sup of |K_t f| over the time grid (cumulative evolution)."""
+    """Node-wise sup of |K_t f| over the positive, finite times of ``t_grid``.
+
+    K_t is the finite-volume semigroup of ``generator``, exact at every t.
+    """
     ts = np.sort(np.asarray(t_grid, dtype=np.float64))
     if ts.size == 0:
         raise InvalidInput("time grid must be nonempty")
-    best = np.zeros(len(f.grid))
-    for current in evolve_through(m, potential, f, ts, scheme):
-        np.maximum(best, np.abs(current.values), out=best)
-    return GridFunction(f.grid, best)
+    for t in (ts[0], ts[-1]):  # the sort puts NaN last
+        _check_time(t)
+    return GridFunction(f.grid, _sup_over_times(m, potential, f, ts).max(axis=0))
 
 
 @dataclass(frozen=True)
@@ -318,32 +325,28 @@ def hardy_norm(
     t_min: float,
     t_max: float,
     n_times: int = 32,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
 ) -> HardyNormResult:
     """L1(mu) norm of the truncated heat maximal function sup_{t<=t_max}|K_t f|.
 
-    One cumulative sweep up to 2 t_max also yields the norms at half and at
-    double the time range, reported as the truncation sensitivity.
+    One spectral sweep over log-spaced times up to 2 t_max also yields the
+    norms at half and at double the time range, reported as the truncation
+    sensitivity.  K_t is the finite-volume semigroup of ``generator``.
     """
     _check_count("n_times", n_times, least=2)
     ts = log_time_grid(t_min, 2.0 * t_max, n_times + max(2, n_times // 8))
-    best = np.zeros(len(f.grid))
-    norm_half = norm_full = None
+    vals = _sup_over_times(m, potential, f, ts)
     w = f.grid.weights
-    for t, current in zip(ts, evolve_through(m, potential, f, ts, scheme)):
-        if norm_half is None and t > 0.5 * t_max:
-            norm_half = float(w @ best)
-        if norm_full is None and t > t_max * (1.0 + 1e-12):
-            norm_full = float(w @ best)
-        np.maximum(best, np.abs(current.values), out=best)
-    norm_double = float(w @ best)
+
+    def norm(upto: float) -> float:
+        return float(w @ vals[ts <= upto].max(axis=0, initial=0.0))
+
     return HardyNormResult(
-        value=norm_full if norm_full is not None else norm_double,
+        value=norm(t_max * (1.0 + 1e-12)),
         t_min=t_min,
         t_max=t_max,
         n_times=n_times,
-        value_half_range=norm_half if norm_half is not None else norm_double,
-        value_double_range=norm_double,
+        value_half_range=norm(0.5 * t_max),
+        value_double_range=norm(math.inf),
     )
 
 
@@ -353,13 +356,12 @@ def local_hardy_norm(
     f: GridFunction,
     tau: float,
     n_times: int = 32,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
 ) -> HardyNormResult:
     """Local variant: the time range is (0, tau^2]."""
     if not 0.0 < tau < math.inf:  # also rejects NaN
         raise InvalidInput(f"tau must be positive and finite, got {float(tau)!r}")
     tau2 = tau * tau
-    return hardy_norm(m, potential, f, 1e-3 * tau2, tau2, n_times, scheme)
+    return hardy_norm(m, potential, f, 1e-3 * tau2, tau2, n_times)
 
 
 # ---------------------------------------------------------------------------

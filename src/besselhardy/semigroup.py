@@ -9,14 +9,8 @@ Two independent realizations:
   (L1(mu)), the evolution dominates nothing it should not:
   0 <= split(t) f <= heat(t) f holds node-wise exactly (same stepping),
   the L1(mu) norm of nonnegative data never increases, and neither does its
-  maximum (the maximum principle).  One loop, ``_evolve``, runs every leg:
-  its band product is one gemv per ``BandMatrix`` block.  A matrix larger
-  than one core's L2 cache (2 MiB) streams from L3 at every step, so a leg of
-  at least 16 steps on one splits its blocks into two halves of about equal
-  bytes and runs the second half on a thread that lives for that call only;
-  each half then stays in its own core's L2.  That thread calls nothing but
-  numpy, and every output bit is the serial loop's, whatever the CPU or
-  BLAS thread count.
+  maximum (the maximum principle).  One serial loop, ``_evolve``, runs every
+  leg: its band product is one gemv per ``BandMatrix`` block.
 
 * A Feynman-Kac Monte Carlo estimator over the Bessel process of dimension
   alpha + 1, simulated by exact squared-Bessel transitions (noncentral
@@ -32,8 +26,6 @@ Two independent realizations:
 from __future__ import annotations
 
 import math
-import queue
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -70,38 +62,6 @@ class SplittingScheme:
 DEFAULT_SCHEME = SplittingScheme()
 
 
-# A leg splits its band blocks over two threads when its matrix holds more
-# than _SPLIT_BYTES and it takes at least _SPLIT_STEPS steps.  A core's L2 is
-# 2 MiB on the 2-vCPU x86 host these were measured on (L3 105 MiB): there a
-# gemv ran at 38-47 GB/s up to 1.3 MB of matrix and 21-25 GB/s from 2.9 MB,
-# so each half of a larger matrix stays in its own core's L2, and starting
-# the thread costs about 250 us a call.  Microseconds per step, serial /
-# split, at n = 900 (1 BLAS thread):
-#
-#     MB     4 steps   8         16        32        128
-#     2.66   153/211   147/165   140/140   131/128   127/95
-#     3.41   208/244   216/215   216/183   182/156   167/124
-#     4.13   320/334   289/262   284/219   215/176   207/134
-_SPLIT_BYTES = 2 * 2**20
-_SPLIT_STEPS = 16
-
-
-def _dot_blocks(plan: list) -> None:
-    """One ``np.dot`` per (block, input view, output view) of ``plan``, in order."""
-    for block, src, dst in plan:
-        np.dot(block, src, out=dst)
-
-
-def _second_half(plan: list, go: queue.SimpleQueue, done: queue.SimpleQueue) -> None:
-    """For each true item from ``go``, ``_dot_blocks(plan)`` and None on ``done``; an exception goes on ``done``."""
-    try:
-        while go.get():
-            _dot_blocks(plan)
-            done.put(None)
-    except Exception as exc:  # raised again in the caller
-        done.put(exc)
-
-
 def _evolve(
     m: WeightedMeasure,
     potential: Potential,
@@ -117,18 +77,8 @@ def _evolve(
     half * (P_dt (w * (half * f))) with the products made in place in two
     buffers, and the band product is one ``np.dot`` per ``BandMatrix``
     block, the block's input slice to its output slice: the plan built once
-    per call.  A matrix larger than one core's L2 streams from L3 at every
-    step, so when it holds more than ``_SPLIT_BYTES`` and the leg has at
-    least ``_SPLIT_STEPS`` steps, the blocks are cut into two halves of
-    about equal bytes and a second thread runs the second half of every
-    step while this one runs the first; each half then stays in its core's
-    L2.  Each block is still the same gemv on the same slice, so the bits
-    are those of ``mat @`` and do not depend on the CPU or BLAS thread
-    count.  The thread lives for this call only and is joined before it
-    returns; an exception it raises is raised here.  It calls nothing but
-    numpy, since a tracer's span stack (``bench/tracer.py``) belongs to one
-    thread.  A shorter leg or a smaller matrix runs serially and starts no
-    thread.
+    per call.  Each block is the same gemv on the same slice as in
+    ``mat @``, so the bits are that product's.
     """
     _check_time(t)
     steps = scheme.steps_for(t) if n_steps is None else n_steps
@@ -141,29 +91,14 @@ def _evolve(
     w = grid.weights
     x, y = np.empty(len(grid)), np.empty(len(grid))  # the matvec's input and output
     plan = [(block, x[c0:c1], y[r0:r1]) for r0, r1, c0, c1, block in mat.blocks]
-    mine, worker = plan, None
-    if mat.nbytes > _SPLIT_BYTES and steps >= _SPLIT_STEPS and len(plan) > 1:
-        ends = np.cumsum([block.nbytes for block, _, _ in plan])
-        cut = 1 + int(np.argmin(np.maximum(ends[:-1], ends[-1] - ends[:-1])))
-        mine, go, done = plan[:cut], queue.SimpleQueue(), queue.SimpleQueue()
-        worker = threading.Thread(target=_second_half, args=(plan[cut:], go, done))
-        worker.start()
     cur = f.values
-    try:
-        for _ in range(steps):
-            np.multiply(half, cur, out=x)
-            x *= w
-            if worker is not None:
-                go.put(True)
-            _dot_blocks(mine)
-            if worker is not None and (exc := done.get()) is not None:
-                raise exc
-            y *= half
-            cur = y
-    finally:
-        if worker is not None:
-            go.put(False)
-            worker.join()
+    for _ in range(steps):
+        np.multiply(half, cur, out=x)
+        x *= w
+        for block, src, dst in plan:
+            np.dot(block, src, out=dst)
+        y *= half
+        cur = y
     return GridFunction(grid, y)
 
 

@@ -275,14 +275,13 @@ def test_09_perturbation_formula(grid_half):
 
 def test_10_local_atom_uniform_bound(section_v1, section_pow, grid_half, grid_pow):
     t0 = time.perf_counter()
-    scheme = SplittingScheme(steps_per_unit=8.0, min_steps=2)
     ok = True
     detail = []
     for sec, grid in ((section_v1, grid_half), (section_pow, grid_pow)):
         norms = []
         for d in sec:
             atom = make_local_atom(grid, d.to_interval())
-            res = local_hardy_norm(M, Potential.zero(), atom.values, d.length, n_times=14, scheme=scheme)
+            res = local_hardy_norm(M, Potential.zero(), atom.values, d.length, n_times=14)
             norms.append(res.value)
         spread = max(norms) / float(np.median(norms))
         detail.append(f"max={max(norms):.3f} median={float(np.median(norms)):.3f} spread={spread:.2f}")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from besselhardy import (
     AtomicCombination,
@@ -10,13 +11,11 @@ from besselhardy import (
     Interval,
     MixedGrids,
     Potential,
-    SplittingScheme,
     SupportViolation,
     WeightedMeasure,
     build_section,
     enlarge,
     hardy_norm,
-    heat_evolve,
     local_hardy_norm,
     make_cancellative_atom,
     make_cutoff,
@@ -27,12 +26,12 @@ from besselhardy import (
     resupport_atom,
     validate_atom,
 )
+from besselhardy import generator
 from besselhardy.grid import Grid
-from besselhardy.hardy import Atom, AtomKind
-from conftest import fit_slope
+from besselhardy.hardy import Atom, AtomKind, log_time_grid
+from conftest import fit_slope, fv_generator
 
 V1 = Potential.constant(1.0)
-SCHEME = SplittingScheme(steps_per_unit=16.0, min_steps=2)
 
 
 class TestAtoms:
@@ -166,24 +165,25 @@ class TestPartitionOfUnity:
 class TestMaximalFunction:
     def test_single_time_equals_heat(self, m_half, grid_half):
         f = GridFunction(grid_half, np.exp(-((grid_half.nodes - 2.0) ** 2)))
-        got = maximal_function(m_half, Potential.zero(), f, [0.3], SCHEME)
-        want = heat_evolve(m_half, 0.3, f, SCHEME)
-        assert np.array_equal(got.values, np.abs(want.values))
+        got = maximal_function(m_half, Potential.zero(), f, [0.3])
+        spec = generator.spectrum(m_half, grid_half, Potential.zero())
+        want = generator.sweep(spec, f.values, slice(None), np.array([0.3]))[0]
+        assert np.array_equal(got.values, np.abs(want))
 
     def test_repeated_time_is_an_identity_leg(self, m_half, grid_half):
-        # K_0 is the identity: a repeated time adds nothing to the sup
+        # a repeated time adds nothing to the sup
         f = GridFunction(grid_half, np.exp(-((grid_half.nodes - 2.0) ** 2)))
-        got = maximal_function(m_half, Potential.zero(), f, [0.1, 0.1, 0.2], SCHEME)
-        want = maximal_function(m_half, Potential.zero(), f, [0.1, 0.2], SCHEME)
+        got = maximal_function(m_half, Potential.zero(), f, [0.1, 0.1, 0.2])
+        want = maximal_function(m_half, Potential.zero(), f, [0.1, 0.2])
         assert np.array_equal(got.values, want.values)
 
     def test_monotone_in_time_grid(self, m_half, grid_half):
-        # enlarging the time grid can only grow the sup; the cumulative
-        # evolution adds splitting noise at shared times, hence the epsilon
+        # enlarging the time grid can only grow the sup: the spectrum gives
+        # the same bits at a shared time, whatever the other times are
         f = GridFunction(grid_half, np.exp(-((grid_half.nodes - 2.0) ** 2)))
-        coarse = maximal_function(m_half, V1, f, [0.1, 0.4], SCHEME)
-        fine = maximal_function(m_half, V1, f, [0.05, 0.1, 0.2, 0.4], SCHEME)
-        assert np.all(fine.values >= coarse.values - 1e-4 * coarse.values.max())
+        coarse = maximal_function(m_half, V1, f, [0.1, 0.4])
+        fine = maximal_function(m_half, V1, f, [0.05, 0.1, 0.2, 0.4])
+        assert np.all(fine.values >= coarse.values)
 
     def test_cancellative_tail_decay_slope(self, m_half, grid_half):
         # sup_t |P_t a| for a mean-zero atom decays like |x - c|^{-2} in the
@@ -191,12 +191,44 @@ class TestMaximalFunction:
         atom = make_mu_atom(grid_half, Interval(1.0, 1.5))
         c = 1.25
         ts = np.exp(np.linspace(math.log(1e-3), math.log(400.0), 40))
-        mf = maximal_function(m_half, Potential.zero(), atom.values, ts, SCHEME)
+        mf = maximal_function(m_half, Potential.zero(), atom.values, ts)
         sel = (grid_half.nodes > 3.0) & (grid_half.nodes < 12.0)
         d = grid_half.nodes[sel] - c
         compensated = mf.values[sel] * grid_half.nodes[sel] ** m_half.alpha
         slope = fit_slope(np.log(d), np.log(compensated))
         assert -2.4 < slope < -1.6
+
+
+class TestDenseOracle:
+    """At small n the maximal function and the Hardy norms are sup_t |expm(-t A_V) f| of the dense generator."""
+
+    @pytest.mark.parametrize("alpha", [0.5, 2.0])
+    @pytest.mark.parametrize(
+        "potential",
+        [Potential.zero(), Potential(pieces=((0.5, 2.0, 1.5),), power_coeff=0.3, power_exponent=1.1)],
+        ids=["V=0", "piece+power"],
+    )
+    def test_sup_of_the_dense_semigroup(self, alpha, potential):
+        m = WeightedMeasure(alpha)
+        grid = Grid.build(m, 60, 8.0, 30.0)
+        a_v = fv_generator(m, grid, potential)
+        w = grid.weights
+        for atom in (make_local_atom(grid, Interval(1.0, 1.5)), make_mu_atom(grid, Interval(1.0, 2.0))):
+            f = atom.values
+
+            def dense(ts):
+                return np.array([np.abs(expm(-t * a_v) @ f.values) for t in ts])
+
+            ts = log_time_grid(1e-3, 2.0, 20)
+            want = dense(ts).max(axis=0)
+            got = maximal_function(m, potential, f, ts).values
+            assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+            res = hardy_norm(m, potential, f, 1e-3, 1.0, n_times=16)
+            ts = log_time_grid(1e-3, 2.0, 18)  # the 16 + 2 times of the norm
+            sups = dense(ts)
+            for value, upto in ((res.value, 1.0), (res.value_half_range, 0.5), (res.value_double_range, 2.0)):
+                assert value == pytest.approx(w @ sups[ts <= upto * (1.0 + 1e-12)].max(axis=0), rel=1e-12)
 
 
 class TestHardyNorm:
@@ -205,14 +237,14 @@ class TestHardyNorm:
         norms = []
         for d in section:
             atom = make_local_atom(grid_half, d.to_interval())
-            res = local_hardy_norm(m_half, Potential.zero(), atom.values, d.length, n_times=12, scheme=SCHEME)
+            res = local_hardy_norm(m_half, Potential.zero(), atom.values, d.length, n_times=12)
             norms.append(res.value)
         assert max(norms) < 10.0 * float(np.median(norms))
         assert max(norms) < 4.0  # the empirical constant for this section
 
     def test_cancellative_atom_norm_stable_as_range_doubles(self, m_half, grid_half):
         atom = make_mu_atom(grid_half, Interval(1.0, 1.5))
-        res = hardy_norm(m_half, Potential.zero(), atom.values, 2.5e-4, 16.0, n_times=40, scheme=SCHEME)
+        res = hardy_norm(m_half, Potential.zero(), atom.values, 2.5e-4, 16.0, n_times=40)
         assert res.range_sensitivity < 0.10
 
     def test_local_atom_without_cancellation_grows_logarithmically(self, m_half, grid_half):
@@ -220,7 +252,7 @@ class TestHardyNorm:
         tau2 = 0.25
         ks = np.arange(0, 7)
         values = [
-            hardy_norm(m_half, Potential.zero(), atom.values, 1e-3 * tau2, tau2 * 2.0**k, n_times=30, scheme=SCHEME).value
+            hardy_norm(m_half, Potential.zero(), atom.values, 1e-3 * tau2, tau2 * 2.0**k, n_times=30).value
             for k in ks
         ]
         slope = fit_slope(ks.astype(float), np.array(values))

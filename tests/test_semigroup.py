@@ -1,11 +1,9 @@
-import contextlib
 import hashlib
 import math
 import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -222,45 +220,23 @@ def serial_evolve(m, potential, t, f, steps):
     return out
 
 
-@contextlib.contextmanager
-def counting_splits(mp: pytest.MonkeyPatch, split_bytes=None, split_steps=None):
-    """Yield a list that gets one entry per second-half thread ``_evolve`` starts, with thresholds patched."""
-    if split_bytes is not None:
-        mp.setattr(semigroup_module, "_SPLIT_BYTES", split_bytes)
-    if split_steps is not None:
-        mp.setattr(semigroup_module, "_SPLIT_STEPS", split_steps)
-    starts: list = []
-    run = semigroup_module._second_half
-
-    def counted(*args):
-        starts.append(args)
-        run(*args)
-
-    mp.setattr(semigroup_module, "_second_half", counted)
-    yield starts
-
-
 _EVOLVE_DIGEST = """
 import hashlib, os, sys
 if sys.argv[1] == "pinned":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 import numpy as np
 from besselhardy import Grid, GridFunction, Potential, WeightedMeasure, heat_evolve, schrodinger_apply
-from besselhardy import semigroup
-starts = []
-run = semigroup._second_half
-semigroup._second_half = lambda *args: (starts.append(1), run(*args))
 m = WeightedMeasure(0.5)
 grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
 f = GridFunction(grid, np.exp(-((grid.nodes - 2.0) ** 2)))
 ks = schrodinger_apply(m, Potential.power(1.0, 1.0), 40 / 16, f, n_steps=40)
 ph = heat_evolve(m, 40 / 16, f, n_steps=40)
-print(len(starts), hashlib.sha256(ks.values.tobytes() + ph.values.tobytes()).hexdigest())
+print(hashlib.sha256(ks.values.tobytes() + ph.values.tobytes()).hexdigest())
 """
 
 
 class TestSplitEvolution:
-    """A long leg on a large matrix runs half its band blocks on a second thread, with the serial bits."""
+    """Strang evolution runs one serial loop of one ``np.dot`` per band block, with the bits of ``mat @``."""
 
     @given(
         alpha=st.floats(min_value=0.2, max_value=3.0),
@@ -284,39 +260,10 @@ class TestSplitEvolution:
         else:
             v = Potential.power(*power)
         f = GridFunction(grid, np.random.default_rng(seed).uniform(0.0, 2.0, n))
-        with pytest.MonkeyPatch.context() as mp, counting_splits(mp, 0, 1) as starts:
-            ks = schrodinger_apply(m, v, t, f, n_steps=steps)
-            ph = heat_evolve(m, t, f, n_steps=steps)
-        assert len(starts) == 2
+        ks = schrodinger_apply(m, v, t, f, n_steps=steps)
+        ph = heat_evolve(m, t, f, n_steps=steps)
         assert ks.values.tobytes() == serial_evolve(m, v, t, f, steps).tobytes()
         assert ph.values.tobytes() == serial_evolve(m, Potential.zero(), t, f, steps).tobytes()
-
-    @pytest.mark.parametrize("n,steps,split", [(900, 16, True), (900, 15, False), (420, 128, False)])
-    def test_splits_only_long_legs_on_large_matrices(self, m_half, n, steps, split):
-        # at dt = 2^-4 the n = 900 matrix holds 3.4 MB and the n = 420 one 1.0 MB
-        grid = Grid.build(m_half, n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
-        assert (kernel_matrix(m_half, grid, 1 / 16).nbytes > semigroup_module._SPLIT_BYTES) == (n == 900)
-        f = bump(grid)
-        before = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp, counting_splits(mp) as starts:
-            ks = schrodinger_apply(m_half, Potential.power(1.0, 1.0), steps / 16, f, n_steps=steps)
-        assert len(starts) == split and threading.active_count() == before
-        assert ks.values.tobytes() == serial_evolve(m_half, Potential.power(1.0, 1.0), steps / 16, f, steps).tobytes()
-
-    def test_a_worker_failure_reaches_the_caller(self, m_half, grid_half):
-        run = semigroup_module._dot_blocks
-
-        def fail_off_the_main_thread(plan):
-            if threading.current_thread() is not threading.main_thread():
-                raise FloatingPointError("injected")
-            run(plan)
-
-        before = threading.active_count()
-        with pytest.MonkeyPatch.context() as mp, counting_splits(mp, 0, 1) as starts:
-            mp.setattr(semigroup_module, "_dot_blocks", fail_off_the_main_thread)
-            with pytest.raises(FloatingPointError, match="injected"):
-                heat_evolve(m_half, 0.3, bump(grid_half), n_steps=5)
-        assert starts and threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
     def test_bits_do_not_depend_on_cpus_or_blas_threads(self, m_half):
@@ -337,7 +284,7 @@ class TestSplitEvolution:
         f = GridFunction(grid, np.exp(-((grid.nodes - 2.0) ** 2)))
         ks = serial_evolve(m_half, Potential.power(1.0, 1.0), 40 / 16, f, 40)
         ph = serial_evolve(m_half, Potential.zero(), 40 / 16, f, 40)
-        want = ["2", hashlib.sha256(ks.tobytes() + ph.tobytes()).hexdigest()]
+        want = [hashlib.sha256(ks.tobytes() + ph.tobytes()).hexdigest()]
         assert list(out.values()) == [want] * 3
 
 
@@ -692,6 +639,7 @@ BAD_CALLS = {
     "hardy_norm fractional n_times": lambda m, g, f: hardy_norm(m, Potential.zero(), f, 0.1, 1.0, n_times=2.5),
     "hardy_norm zero n_times": lambda m, g, f: hardy_norm(m, Potential.zero(), f, 0.1, 1.0, n_times=0),
     "hardy_norm infinite t_max": lambda m, g, f: hardy_norm(m, Potential.zero(), f, 0.1, math.inf),
+    "hardy_norm potential not locally integrable": lambda m, g, f: hardy_norm(m, Potential.power(1.0, 2.0), f, 0.1, 1.0),
     "local_hardy_norm negative tau": lambda m, g, f: local_hardy_norm(m, Potential.zero(), f, -1.0),
     "maximal_function times": lambda m, g, f: maximal_function(m, Potential.constant(1.0), f, []),
     "resupport_atom kind": lambda m, g, f: resupport_atom(

@@ -1,4 +1,4 @@
-"""The pair summary of ``tools/bench_file.py``: pure functions, no benchmark run."""
+"""The pair summary and the run helper of ``tools/bench_file.py``: no benchmark run."""
 
 import sys
 from pathlib import Path
@@ -39,3 +39,9 @@ def test_digests_match_flags_each_digest_of_the_parent():
     change = {"host": {"cpus": 2}, "k": {"k_ms": {"cli": 2.0}, "sha256": {"cli": "aa", "grid900": "cc"}}}
     assert bench_file.digests_match(parent, change) == {"k/cli": True, "k/grid900": False}
     assert bench_file.digests_match(parent, {}) == {"k/cli": False, "k/grid900": False}
+
+
+def test_a_measured_run_records_the_steal_share():
+    out = bench_file.measured_run([sys.executable, "-c", "print('{\"x\": 1}')"], Path.cwd())
+    assert out["x"] == 1
+    assert out["steal_frac"] is None or 0.0 <= out["steal_frac"] <= 1.0

@@ -15,11 +15,16 @@ it has.  Keys:
 - ``pairs``: per workload of ``BENCHMARK.json``, one pair per seed of
   ``bench/run.py --blas-threads 1 --workload W --seed S --seconds 20 --trace
   0``: ``first`` (seed -> side), per side the runs' ``correct``,
-  ``attempted`` and ``failed``, and per end-to-end metric its ``summary``;
+  ``attempted``, ``failed`` and ``steal_frac``, and per end-to-end metric its
+  ``summary``.  ``steal_frac`` is the share of the host's CPU time that its
+  hypervisor took (steal) while the run lasted, from the ``cpu`` line of
+  ``/proc/stat`` read before and after it (null where that file is missing),
+  so a pair lost to a slow spell of the host can be told from a slow side;
 - ``traced``: per workload, ``TRACED_PAIRS`` pairs of ``bench/worker.py
   --workload W --seed <first seed> --rounds 2 --trace 1`` with one BLAS
   thread: ``first`` (side per pair), per side ``runs`` (rounds, units,
-  failed_checks, identical, layers) and ``median`` of each layer metric.
+  failed_checks, identical, layers, steal_frac) and ``median`` of each layer
+  metric.
   Fixed rounds give both sides the same units, so the counts compare equal work;
 - ``layers``: per side what ``tools/layers.py --src <side>/src`` of this
   checkout prints with one BLAS thread, and ``digests_match``: per digest
@@ -80,6 +85,24 @@ def last_json(cmd: list[str], root: Path, env: dict | None = None) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def cpu_ticks() -> list[int]:
+    """user, nice, system, idle, iowait, irq, softirq and steal of the host, from ``/proc/stat`` ([] without it)."""
+    try:
+        with open("/proc/stat") as stat:
+            return [int(v) for v in stat.readline().split()[1:9]]
+    except OSError:
+        return []
+
+
+def measured_run(cmd: list[str], root: Path, env: dict | None = None) -> dict:
+    """``last_json`` with ``steal_frac``: the host's steal ticks over all its ticks during the run, or None."""
+    before = cpu_ticks()
+    out = last_json(cmd, root, env)
+    ticks = [b - a for a, b in zip(before, cpu_ticks())]
+    out["steal_frac"] = ticks[7] / sum(ticks) if len(ticks) == 8 and sum(ticks) > 0 else None
+    return out
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
@@ -108,9 +131,9 @@ def main() -> int:
             entry["first"][str(seed)] = order(turn)[0]
             for side in order(turn):
                 cmd = ["bench/run.py", "--blas-threads", "1", "--workload", w, "--seed", str(seed), "--seconds", "20"]
-                raw[side].append(last_json([sys.executable, *cmd, "--trace", "0"], roots[side]))
+                raw[side].append(measured_run([sys.executable, *cmd, "--trace", "0"], roots[side]))
             turn += 1
-            for key in ("correct", "attempted", "failed"):
+            for key in ("correct", "attempted", "failed", "steal_frac"):
                 entry[key] = {side: [r[key] for r in raw[side]] for side in SIDES}
             for metric in spec["end_to_end"]:
                 runs = {side: [r["metrics"][metric["name"]]["value"] for r in raw[side]] for side in SIDES}
@@ -123,9 +146,10 @@ def main() -> int:
             entry["first"].append(order(turn)[0])
             for side in order(turn):
                 cmd = ["bench/worker.py", "--workload", w, "--seed", str(seeds[0]), "--rounds", str(TRACED_ROUNDS)]
-                phase = last_json([sys.executable, *cmd, "--trace", "1"], roots[side], worker_env(1))["phase"]
+                run = measured_run([sys.executable, *cmd, "--trace", "1"], roots[side], worker_env(1))
+                phase = run["phase"]
                 runs = entry["runs"][side]
-                runs.append({"rounds": TRACED_ROUNDS, "units": len(phase["unit_ms"])})
+                runs.append({"rounds": TRACED_ROUNDS, "units": len(phase["unit_ms"]), "steal_frac": run["steal_frac"]})
                 runs[-1].update({k: phase[k] for k in ("failed_checks", "identical", "layers")})
                 entry["median"][side] = {k: float(np.median([r["layers"][k] for r in runs])) for k in phase["layers"]}
                 out_path.write_text(json.dumps(result, indent=1) + "\n")

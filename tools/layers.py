@@ -64,7 +64,17 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``grid900`` (grid 14, n = 900), ``warm420`` (the ``evolve_warm`` grid) and
   ``cli320`` (the grid of ``besselhardy all``), a fresh grid per dt whose
   matrix is built before the timing: ``us_per_step`` (the best call over k),
-  ``matrix_mb`` (``BandMatrix.nbytes``) and ``sha256`` of each output.
+  ``matrix_mb`` (``BandMatrix.nbytes``) and ``sha256`` of each output.  Every
+  leg runs the one serial loop, one gemv per band block, whatever its step
+  count and matrix size (trees before it split long legs on large matrices
+  over two threads);
+- ``hardy``: the ``local_hardy_norm`` calls of ``besselhardy all`` at the
+  default config, one per local atom of its section (``n_times`` 14, and the
+  CLI's ``SplittingScheme(8)`` on trees whose Hardy norms take a scheme):
+  ``cold_ms`` (all atoms on a fresh grid), ``warm_ms`` (all atoms again on
+  that grid), ``builds`` (raw kernel builds) and ``eighs`` (``np.linalg.eigh``
+  calls) of one cold pass, and ``sha256`` per atom of its norm, half-range
+  and double-range values.
 """
 
 from __future__ import annotations
@@ -72,6 +82,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -436,6 +447,34 @@ def evolve_probe(bh) -> dict:
     return out
 
 
+def hardy_probe(bh) -> dict:
+    from besselhardy import cli
+    from besselhardy import kernel as km
+
+    cfg = cli.RunConfig()
+    m = cfg.measure
+    section = bh.build_section(m, cfg.potential, cfg.window, beta=1.2)
+    takes_scheme = "scheme" in inspect.signature(bh.local_hardy_norm).parameters
+    kwargs = {"scheme": bh.SplittingScheme(steps_per_unit=8.0, min_steps=2)} if takes_scheme else {}
+
+    def run(grid):
+        atoms = [(bh.make_local_atom(grid, d.to_interval()), d.length) for d in section]
+        return [bh.local_hardy_norm(m, bh.Potential.zero(), a.values, tau, n_times=14, **kwargs) for a, tau in atoms]
+
+    grids = [cli._grid_for(cfg, section) for _ in range(REPEATS)]
+    out: dict = {"cold_ms": round(best_ms(lambda: run(grids.pop())), 2)}
+    grid = cli._grid_for(cfg, section)
+    builds: list = []
+    eighs: list = []
+    with recording(km, "_raw_matrix", builds), recording(np.linalg, "eigh", eighs):
+        results = run(grid)
+    out.update(warm_ms=round(best_ms(lambda: run(grid)), 2), builds=len(builds), eighs=len(eighs))
+    out["sha256"] = {
+        str(d): sha256([r.value, r.value_half_range, r.value_double_range]) for d, r in zip(section, results)
+    }
+    return out
+
+
 def host() -> dict:
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return {"python": platform.python_version(), "numpy": np.__version__, "machine": platform.machine(), "cpus": cpus}
@@ -465,6 +504,7 @@ def main() -> None:
         "cache": cache_probe,
         "superharmonic": superharmonic_probe,
         "evolve": evolve_probe,
+        "hardy": hardy_probe,
     }
     for name, probe in probes.items():
         out[name] = probe(bh)
