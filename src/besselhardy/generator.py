@@ -25,10 +25,12 @@ masses span up to 1e15, the rounding of ``eigh`` moved each of these by at
 most 4e-13 of the data.
 
 The spectrum (lam, U, sqrt(w)) is cached on the grid per potential
-(``Grid.cache_get``), in the same byte budget as the kernel matrices.  The
-superharmonic sweep of ``conditions`` and the maximal function and Hardy
-norms of ``hardy`` use it; condition (D), the Duhamel check and every other
-evolution are the Strang splitting of ``semigroup``.
+(``Grid.cache_get``), in the same least-recently-used list and byte budget
+as the kernel matrices (``grid._CACHE_BYTES``), and every call that reads it
+makes it the newest entry.  The superharmonic sweep and condition (D) of
+``conditions`` and the maximal function and Hardy norms of ``hardy`` use it;
+the Duhamel check and every other evolution are the Strang splitting of
+``semigroup``.
 """
 
 from __future__ import annotations

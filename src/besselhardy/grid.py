@@ -20,23 +20,18 @@ from .errors import InvalidInput, MixedGrids
 from .measure import Interval, WeightedMeasure
 
 # A grid caches kernel matrices (kernel.BandMatrix, n^2 8 bytes at most) and
-# finite-volume spectra (generator.Spectrum, n^2 8 + 16 n bytes) in two
-# halves of _CACHE_BYTES // 2 each, a segmented LRU (Karedla, Love and
-# Wherry, IEEE Computer 27(3), 1994).  An entry enters as new; a later get
-# makes it reused.  At each put, while the reused half holds more than its
-# half, its least recently used entry goes back to the new half as that
-# half's newest; then, while the new half holds more than its half, its
-# least recently used entry is dropped.  The entry just put always stays.
-# Only an entry asked for twice is kept from one-shot legs: the spectrum
-# that every superharmonic sweep under one V reuses, and not a (D) or
-# Duhamel leg.  The cache probe of tools/layers.py (the test-14 grid at
-# n = 900; per round two V = 1 sweeps, a (D) check of 9 legs and a test-09
-# Duhamel pair) made 14, 8 and 8 kernel builds and 1, 0 and 0 spectra in
-# its three rounds, and held at most 41.7 MB.  The spectra of the
-# benchmark's two potentials at n = 900 take 13 MB of the reused half; one
-# at n = 1400 takes 15.7 MB.  48 MiB raised the sweep_cold peak RSS by 6%
-# when it was tried; a new half under about 10 MiB thrashes at n = 900,
-# where a Duhamel check cycles through 3 legs.
+# finite-volume spectra (generator.Spectrum, n^2 8 + 16 n bytes) in one
+# least-recently-used list of at most _CACHE_BYTES.  A get makes its entry the
+# newest; a put drops the oldest entries until the rest fit, and keeps the
+# entry just put even when it alone is larger.  The superharmonic sweep,
+# condition (D) and the Hardy norms ask for one spectrum per (grid, V) on
+# every call; a Duhamel check builds 3 Strang legs per call and uses each
+# once.  In the benchmark's sweep_cold workload (grid 900; per
+# round four sweeps under V = 1 and V = 1/x, a V = 1/x (D) check and a
+# Duhamel pair), counted over 8 rounds at seed 21, this made 6 kernel builds
+# per round, 2 spectra in the first round and none after, and held at most
+# 40.6 MB.  The two spectra take 13 MB at n = 900; one at n = 1400 takes
+# 15.7 MB.  48 MiB raised the sweep_cold peak RSS by 6% when it was tried.
 _CACHE_BYTES = 40 * 2**20
 
 
@@ -60,8 +55,7 @@ class Grid:
         p = 1.0 + measure.alpha
         powers = edges**p / p
         self.weights = np.diff(powers)
-        self._matrix_cache: OrderedDict = OrderedDict()  # every entry, least recently used first
-        self._reused: set = set()  # the keys of the reused half
+        self._matrix_cache: OrderedDict = OrderedDict()  # least recently used first
 
     @classmethod
     def build(
@@ -142,23 +136,15 @@ class Grid:
         value = self._matrix_cache.get(key)
         if value is not None:
             self._matrix_cache.move_to_end(key)
-            self._reused.add(key)
         return value
 
     def cache_put(self, key, value):
-        cache, reused, half = self._matrix_cache, self._reused, _CACHE_BYTES // 2
+        cache = self._matrix_cache
         cache.pop(key, None)
-        reused.discard(key)
-        while sum(cache[k].nbytes for k in reused) > half:
-            oldest = next(k for k in cache if k in reused)
-            reused.remove(oldest)
-            cache.move_to_end(oldest)
         cache[key] = value
-        while sum(v.nbytes for k, v in cache.items() if k not in reused) > half:
-            oldest = next(k for k in cache if k not in reused)
-            if oldest == key:
-                break
-            del cache[oldest]
+        held = sum(v.nbytes for v in cache.values())
+        while held > _CACHE_BYTES and len(cache) > 1:
+            held -= cache.popitem(last=False)[1].nbytes
 
 
 @dataclass(frozen=True)

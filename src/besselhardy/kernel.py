@@ -33,9 +33,9 @@ band is evaluated straight into the blocks of the layout below, in row
 slices of bounded size, and the Bessel kernels stop each argument at its
 own last term (see ``bessel``).
 ``kernel_matrix`` caps that matrix to be sub-Markov in one closed-form
-pass and caches it on the grid (``grid._CACHE_BYTES``: a matrix asked for
-twice is kept apart from one-shot ones); it is the one matrix the
-evolution uses.
+pass and caches it on the grid (``grid._CACHE_BYTES``, a least-recently-used
+list shared with the finite-volume spectra); it is the one matrix the
+Strang evolution uses.
 
 The cache holds that matrix as a ``BandMatrix``: dense blocks of
 ``_BAND_ROWS`` = 128 rows (the last one fewer, or one more where a single
@@ -75,12 +75,10 @@ from .grid import Grid
 from .measure import WeightedMeasure
 
 
-def _check_time(t, after: float = 0.0) -> None:
-    """Raise InvalidInput unless 0 < t < inf; a sweep passes its previous time as ``after``."""
+def _check_time(t) -> None:
+    """Raise InvalidInput unless 0 < t < inf."""
     if not 0.0 < t < math.inf:  # also rejects NaN
         raise InvalidInput(f"time must be positive and finite, got {float(t)!r}")
-    if t < after:
-        raise InvalidInput(f"times must be nondecreasing, got {float(t)!r} after {float(after)!r}")
 
 
 def _check_count(name: str, n, least: int = 1) -> None:
@@ -419,12 +417,10 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     both in L-inf (the maximum principle) and in L1(mu); a matrix with no hot
     row is the raw one bit for bit.  The measure must be the grid's, so t
     alone keys the matrix in the grid's cache, and a hit returns the same
-    object.  A new matrix stays while it and the new matrices put after it
-    fit in half of ``grid._CACHE_BYTES`` (20 MiB).  A matrix asked for again
-    moves to the other half and stays there while it and the matrices
-    reused after it fit in 20 MiB, then goes back to the new half; so a
-    matrix used again outlives one-shot legs.  The matrix just built stays
-    at least until the next put.  The cache holds the capped matrix packed as
+    object.  The grid keeps matrices and spectra in one least-recently-used
+    list of at most ``grid._CACHE_BYTES`` (40 MiB): a put drops the oldest
+    entries until the rest fit, never the entry just put, and a hit makes
+    its entry the newest.  The matrix is cached packed as
     ``_BAND_ROWS`` = 128-row blocks over column spans aligned to
     ``_BAND_ALIGN`` = 16, the sizes for which a block matvec was measured
     no slower than the dense one and bit for bit equal to it (see the module

@@ -10,7 +10,11 @@ Two independent realizations:
   0 <= split(t) f <= heat(t) f holds node-wise exactly (same stepping),
   the L1(mu) norm of nonnegative data never increases, and neither does its
   maximum (the maximum principle).  One serial loop, ``_evolve``, runs every
-  leg: its band product is one gemv per ``BandMatrix`` block.
+  leg: its band product is one gemv per ``BandMatrix`` block.  The
+  superharmonic sweep, condition (D) and the Hardy norms do not step: they
+  read the finite-volume spectrum of ``generator``.  The Duhamel check
+  ``perturbation_residual`` steps, since it compares the exact kernel with
+  this split.
 
 * A Feynman-Kac Monte Carlo estimator over the Bessel process of dimension
   alpha + 1, simulated by exact squared-Bessel transitions (noncentral
@@ -28,7 +32,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -112,30 +116,6 @@ def schrodinger_apply(
 ) -> GridFunction:
     """Evolve f by the split Schroedinger semigroup for time t."""
     return _evolve(m, potential, t, f, scheme, n_steps)
-
-
-def evolve_through(
-    m: WeightedMeasure,
-    potential: Potential,
-    f: GridFunction,
-    times,
-    scheme: SplittingScheme = DEFAULT_SCHEME,
-    n_steps: int | None = None,
-) -> Iterator[GridFunction]:
-    """Yield K_t f for each t of the positive, finite, nondecreasing ``times``, leg by leg.
-
-    Each leg from the previous time is one ``schrodinger_apply`` call, so a
-    sweep builds one kernel matrix per distinct leg step size.  A repeated
-    time yields the current function again, since K_0 is the identity.
-    """
-    current = f
-    prev = 0.0
-    for t in times:
-        _check_time(t, prev)
-        if t > prev:
-            current = schrodinger_apply(m, potential, t - prev, current, scheme, n_steps)
-            prev = t
-        yield current
 
 
 def heat_evolve(

@@ -286,20 +286,41 @@ class TestConditionD:
             assert e.fitted_exponent <= e.threshold
             assert e.fitted_exponent > -3.0  # genuinely polynomial, not e^{-t}
 
-    def test_fixed_legs_keep_their_values(self, grid_half):
-        # each (D) leg is one evolution of its own length in steps_per_leg
-        # steps, bit for bit
+    @pytest.mark.parametrize(
+        "v",
+        [
+            Potential.zero(),
+            Potential.constant(1.0),
+            Potential(pieces=((0.5, 2.0, 1.5),), power_coeff=0.3, power_exponent=1.2),
+        ],
+        ids=["V=0", "V=1", "piece+power"],
+    )
+    def test_masses_are_the_dense_semigroup(self, v):
+        # M(n) = sum_i w_i (expm(-t A_V) delta_y)_i, exact in time; the spectral
+        # masses read within 1.7e-13 of this oracle
+        grid = Grid.build(M, 60, 8.0, 30.0)
         sec = build_section(M, VPOW, Interval(0.0, 8.0))
         d = sec.intervals[1]
-        rep = check_condition_D(M, VPOW, sec, grid_half, intervals=[d], n_max=4, steps_per_leg=7)
-        col = GridFunction.point_mass(grid_half, d.to_interval().center)
-        want, prev = [], 0.0
-        for n in range(5):
-            t = math.ldexp(d.length**2, n)
-            col = schrodinger_apply(M, VPOW, t - prev, col, n_steps=7)
-            want.append(col.integral())
-            prev = t
-        assert rep.entries[0].values.tolist() == want
+        rep = check_condition_D(M, v, sec, grid, intervals=[d], n_max=6)
+        a_v = fv_generator(M, grid, v)
+        delta = GridFunction.point_mass(grid, d.to_interval().center).values
+        want = [grid.weights @ (expm(-t * a_v) @ delta) for t in np.ldexp(d.length**2, np.arange(7))]
+        np.testing.assert_allclose(rep.entries[0].values, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5])
+    def test_compact_potential_decays_at_the_recurrent_rate(self, alpha):
+        # V = 1 on [0, 1] kills only near 0, so the mass decays like
+        # t^(-(1-alpha)/2).  Each leg of 2^n |I|^2 in 8 Strang steps reads the
+        # slopes -0.30 / -0.20 / -0.11 (alpha 0.3) and -0.22 / -0.13 / -0.06
+        # (alpha 0.5): too few steps per leg fail two of the three intervals
+        m = WeightedMeasure(alpha)
+        v = Potential.constant(1.0, (0.0, 1.0))
+        sec = build_section(m, v, Interval(0.0, 4.0))
+        grid = Grid.build(m, 900, 200.0, 300.0, breakpoints=[p for d in sec for p in (d.a, d.b)])
+        rep = check_condition_D(m, v, sec, grid, n_max=8)
+        assert rep.passed
+        for e in rep.entries:
+            assert e.fitted_exponent == pytest.approx(-(1.0 - alpha) / 2.0, abs=0.03), e.label
 
     def test_zero_potential_fails_the_fit(self, section_v1):
         # without the stopping rule there is no decay: masses stay near 1

@@ -614,9 +614,7 @@ class TestBandMatrix:
 
 
 class TestMatrixCache:
-    """The grid's two-half byte-bounded cache of kernel matrices."""
-
-    HALF = grid_module._CACHE_BYTES // 2
+    """The grid's byte-bounded LRU cache of kernel matrices and spectra."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -638,34 +636,24 @@ class TestMatrixCache:
         assert kernel_matrix(m_half, grid, 0.1) is mat
         assert builds == [0.1]
 
-    def test_reused_matrix_survives_a_flood_of_one_shot_legs(self, m_half, builds):
-        grid = grid_of_test14(m_half)
-        kept = kernel_matrix(m_half, grid, 2.0**-5)
-        assert kernel_matrix(m_half, grid, 2.0**-5) is kept
-        flood = 0
-        t = 0.3
-        while flood <= 2 * grid_module._CACHE_BYTES:  # twice the whole budget in one-shot puts
-            flood += kernel_matrix(m_half, grid, t).nbytes
-            t += 0.01
-        del builds[:]
-        assert kernel_matrix(m_half, grid, 2.0**-5) is kept
-        assert builds == []
-
-    def test_halves_stay_within_their_bytes(self, m_half):
+    def test_lru_stays_within_its_bytes(self, m_half):
         grid = Grid.build(m_half, 40, 8.0, 10.0)
         rng = np.random.default_rng(5)
         sizes = {key: int(rng.uniform(0.5, 12.0) * 2**20) for key in range(40)}
-        sizes[40] = int(1.5 * self.HALF)  # one matrix larger than a half
+        sizes[40] = int(1.5 * grid_module._CACHE_BYTES)  # one entry larger than the whole cache
         for step in range(600):
             key = int(rng.integers(41))
             if grid.cache_get(key) is not None:
+                assert next(reversed(grid._matrix_cache)) == key  # a get makes its entry newest
                 continue
+            order = [*grid._matrix_cache, key]
             grid.cache_put(key, types.SimpleNamespace(nbytes=sizes[key]))
-            assert next(reversed(grid._matrix_cache)) == key and key not in grid._reused
-            for in_half in (True, False):
-                half = [k for k in grid._matrix_cache if (k in grid._reused) == in_half]
-                assert sum(sizes[k] for k in half) <= self.HALF or len(half) == 1, (step, in_half)
-            assert grid._reused <= grid._matrix_cache.keys()
+            kept = list(grid._matrix_cache)
+            assert kept == order[-len(kept) :]  # the least recently used go first; the newest put stays
+            held = sum(sizes[k] for k in kept)
+            assert held <= grid_module._CACHE_BYTES or len(kept) == 1, step
+            if len(kept) < len(order):  # and no more of them than the bytes require
+                assert held + sizes[order[-len(kept) - 1]] > grid_module._CACHE_BYTES, step
         grid.cache_put(40, types.SimpleNamespace(nbytes=sizes[40]))
         assert grid.cache_get(40).nbytes == sizes[40]
 
@@ -687,7 +675,10 @@ class TestMatrixCache:
         assert builds == []
 
     def test_spectrum_survives_one_shot_checks(self, m_half, builds, monkeypatch):
-        """(D) and Duhamel legs between two sweeps evict neither spectrum the sweeps share."""
+        """A (D) check and two Duhamel checks between two sweeps leave the sweeps' spectrum cached.
+
+        The (D) check builds no kernel matrix: it decomposes its own V once.
+        """
         decompositions = []
         eigh = np.linalg.eigh
 
@@ -709,7 +700,8 @@ class TestMatrixCache:
         sweep()
         assert builds == [] and decompositions == [len(grid)]
         section = build_section(m_half, vpow, Interval(0.0, 8.0))
-        check_condition_D(m_half, vpow, section, grid, intervals=[section.intervals[1]], n_max=8, steps_per_leg=9)
+        check_condition_D(m_half, vpow, section, grid, intervals=[section.intervals[1]], n_max=8)
+        assert builds == [] and decompositions == [len(grid)] * 2
         v09 = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
         scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
         for s_steps in (10, 20):

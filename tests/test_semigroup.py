@@ -33,7 +33,6 @@ from besselhardy import (
     check_condition_D,
     check_condition_K,
     check_superharmonic,
-    evolve_through,
     feynman_kac,
     find_balanced_J,
     gaussian_bound_constants,
@@ -155,12 +154,6 @@ class TestSplitting:
         slope = fit_slope(np.log2(steps_list), np.log2(errs))
         assert slope < -0.8  # still convergent
         assert np.all(np.diff(errs) < 0)
-
-
-    def test_decreasing_times_rejected(self, m_half, grid_half):
-        sweep = evolve_through(m_half, Potential.zero(), bump(grid_half), [0.2, 0.1], SCHEME)
-        with pytest.raises(ValueError, match="0.1 after 0.2"):
-            list(sweep)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize("evolve", ["schrodinger_apply", "heat_evolve"])
@@ -597,8 +590,6 @@ BAD_CALLS = {
     "SampleSpec negative seed": lambda m, g, f: SampleSpec(seed=-1),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
     "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
-    "evolve_through times": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.2, 0.1])),
-    "evolve_through steps": lambda m, g, f: list(evolve_through(m, Potential.zero(), f, [0.1], n_steps=0)),
     "SplittingScheme steps_per_unit": lambda m, g, f: SplittingScheme(steps_per_unit=math.nan),
     "SplittingScheme min_steps": lambda m, g, f: SplittingScheme(min_steps=0),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),
@@ -690,6 +681,10 @@ BAD_CALLS = {
     "check_condition_D zero n_max": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, n_max=0),
     "check_condition_D negative n_max": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, n_max=-1),
     "check_condition_D one-point fit": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, n_max=1),
+    "check_condition_D zero steps_per_leg": lambda m, g, f: check_condition_D(m, V1, v1_section(m), g, steps_per_leg=0),
+    "check_condition_D potential not locally integrable": lambda m, g, f: check_condition_D(
+        m, Potential.power(1.0, 2.0), v1_section(m), g
+    ),
     "check_condition_K no times": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=0),
     "check_condition_K one-point fit": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=2),
     "check_condition_K s_nodes": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, s_nodes=0),

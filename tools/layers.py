@@ -29,6 +29,13 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``k_ms``, ``bessel_pairs`` (Bessel factors one check evaluates),
   ``heat_kernel_calls`` (its calls of ``heat_kernel``), ``sha256`` of every
   entry's G values and fitted exponent;
+- ``d``: ``check_condition_D`` at ``cli`` (the check of ``besselhardy all``,
+  n_max 6) and ``grid900`` (grid 14, n = 900, V = 1/x on ``intervals[1]`` of
+  its section of [0, 8], n_max 8), at the default ``steps_per_leg``:
+  ``cold_ms`` (a fresh grid per call), ``warm_ms`` (again on the grid of one
+  call), ``builds`` (raw kernel builds) and ``eighs`` (``np.linalg.eigh``
+  calls) of one cold call, and ``sha256`` of every entry's masses and
+  fitted exponent;
 - ``fk``: ``feynman_kac`` at ``cli`` (20,000 paths x 200 steps, as in
   ``besselhardy all``) and ``test08`` (40,000 x 250): ``fk_ms``,
   ``path_steps_per_s``, ``sha256`` of the estimate and stderr, ``chunks``;
@@ -46,18 +53,24 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   bars);
 - ``cache``: 3 rounds on one fresh grid-14 n = 900 grid, each of two V = 1
   ``check_superharmonic`` sweeps, one ``check_condition_D`` on the V = 1/x
-  section of [0, 8] (9 steps per leg) and a test-09 ``perturbation_residual``
-  pair (``s_steps`` 10 and 20): ``builds`` (raw builds per round),
-  ``decompositions`` (``np.linalg.eigh`` calls per round), ``round_ms`` (per
-  round, one run), ``cache_mb_peak`` (the most ``nbytes`` of matrices and
-  spectra the grid held after a put) and ``sha256`` per round of its
-  thetas, (D) values and Duhamel sides;
+  section of [0, 8] and a test-09 ``perturbation_residual`` pair
+  (``s_steps`` 10 and 20).  The (D) call passes ``steps_per_leg`` 9, which a
+  tree whose (D) steps Strang legs uses and a spectral (D) ignores; there
+  the Duhamel pair makes every kernel build of a round.  Keys: ``builds``
+  (raw builds per round), ``decompositions`` (``np.linalg.eigh`` calls per
+  round), ``round_ms`` (per round, one run), ``cache_mb_peak`` (the most
+  ``nbytes`` of matrices and spectra the grid held after a put) and
+  ``sha256`` per round of its thetas, (D) values and Duhamel sides;
+- ``sweep``: ``SWEEP_ROUNDS`` rounds of the benchmark's ``sweep_cold``
+  workload (``bench/workloads.py`` ``SweepCold`` of the tree's checkout,
+  seed ``SWEEP_SEED``), untimed: ``builds`` and ``decompositions`` per round
+  as in ``cache``, ``cache_mb_peak``, and ``failed``, the checks that failed;
 - ``superharmonic``: ``eigh_ms`` (one cold ``generator.spectrum`` of V = 1,
   the assembly of T and its ``eigh``, on a fresh grid 14) and
-  ``eigh_peak_mb`` (its ``tracemalloc`` peak) at n in ``SIZES``, on trees
-  that have ``generator``; ``sweep_ms`` of a warm ``check_superharmonic``
+  ``eigh_peak_mb`` (its ``tracemalloc`` peak) at n in ``SIZES``;
+  ``sweep_ms`` of a warm ``check_superharmonic``
   over 21 u for each of the four ``sweep_cold`` profiles on grid 14,
-  n = 900 (untimed once first, so its spectrum or matrices are cached), and
+  n = 900 (untimed once first, so its spectrum is cached), and
   ``sha256`` of each sweep's ``us``, thetas and tail bars;
 - ``evolve``: ``schrodinger_apply`` of f = exp(-(x - 2)^2) under V = 1/x with
   ``n_steps`` k in ``EVOLVE_STEPS`` and t = k dt for dt in ``EVOLVE_DT``, on
@@ -69,8 +82,7 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   count and matrix size (trees before it split long legs on large matrices
   over two threads);
 - ``hardy``: the ``local_hardy_norm`` calls of ``besselhardy all`` at the
-  default config, one per local atom of its section (``n_times`` 14, and the
-  CLI's ``SplittingScheme(8)`` on trees whose Hardy norms take a scheme):
+  default config, one per local atom of its section (``n_times`` 14):
   ``cold_ms`` (all atoms on a fresh grid), ``warm_ms`` (all atoms again on
   that grid), ``builds`` (raw kernel builds) and ``eighs`` (``np.linalg.eigh``
   calls) of one cold pass, and ``sha256`` per atom of its norm, half-range
@@ -82,7 +94,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -108,6 +119,8 @@ MATVECS = 200
 BESSEL_EVALS = 1_000_000
 EVOLVE_DT = {"2^-6": 2.0**-6, "2^-4": 2.0**-4, "2^-2": 0.25, "1": 1.0}
 EVOLVE_STEPS = (4, 16, 128)
+SWEEP_SEED = 21
+SWEEP_ROUNDS = 8
 
 
 def median_ms(run) -> float:
@@ -150,6 +163,18 @@ def recording(module, name: str, calls: list):
         yield
     finally:
         setattr(module, name, original)
+
+
+def tracking_peak(grid) -> list:
+    """Make ``grid.cache_put`` keep in the returned one-item list the most ``nbytes`` the cache held after a put."""
+    put, peak = grid.cache_put, [0]
+
+    def tracked_put(key, value):
+        put(key, value)
+        peak[0] = max(peak[0], sum(entry.nbytes for entry in grid._matrix_cache.values()))
+
+    grid.cache_put = tracked_put
+    return peak
 
 
 def grid14(bh, n: int):
@@ -256,6 +281,38 @@ def k_probe(bh) -> dict:
     return out
 
 
+def d_probe(bh) -> dict:
+    from besselhardy import cli
+    from besselhardy import kernel as km
+
+    cfg = cli.RunConfig()
+    m = cfg.measure
+    cli_section = bh.build_section(m, cfg.potential, cfg.window)
+    vpow = bh.Potential.power(1.0, 1.0)
+    sec_pow = bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
+    configs = {
+        "cli": (cfg.potential, cli_section, lambda: cli._grid_for(cfg, cli_section), None, 6),
+        "grid900": (vpow, sec_pow, lambda: grid14(bh, 900), [sec_pow.intervals[1]], 8),
+    }
+    out: dict = {"cold_ms": {}, "warm_ms": {}, "builds": {}, "eighs": {}, "sha256": {}}
+    for name, (potential, section, build, intervals, n_max) in configs.items():
+
+        def run(grid):
+            return bh.check_condition_D(m, potential, section, grid, intervals=intervals, n_max=n_max)
+
+        grids = [build() for _ in range(REPEATS)]
+        out["cold_ms"][name] = round(best_ms(lambda: run(grids.pop())), 2)
+        grid = build()
+        builds: list = []
+        eighs: list = []
+        with recording(km, "_raw_matrix", builds), recording(np.linalg, "eigh", eighs):
+            rep = run(grid)
+        out["warm_ms"][name] = round(best_ms(lambda: run(grid)), 2)
+        out["builds"][name], out["eighs"][name] = len(builds), len(eighs)
+        out["sha256"][name] = sha256(*(a for e in rep.entries for a in (e.values, np.float64(e.fitted_exponent))))
+    return out
+
+
 def fk_probe(bh) -> dict:
     from besselhardy import semigroup
 
@@ -352,13 +409,7 @@ def cache_probe(bh) -> dict:
     v09 = bh.Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
     scheme = bh.SplittingScheme(steps_per_unit=16.0, min_steps=2)
     grid = grid14(bh, 900)
-    put, peak = grid.cache_put, [0]
-
-    def tracked_put(key, value):
-        put(key, value)
-        peak[0] = max(peak[0], sum(entry.nbytes for entry in grid._matrix_cache.values()))
-
-    grid.cache_put = tracked_put
+    peak = tracking_peak(grid)
 
     def one_round():
         outputs = [bh.check_superharmonic(m, v1, profile, z, us, grid).thetas for _ in range(2)]
@@ -384,22 +435,41 @@ def cache_probe(bh) -> dict:
     return out
 
 
+def sweep_probe(bh) -> dict:
+    from besselhardy import kernel as km
+
+    sys.path.insert(0, str(Path(bh.__file__).resolve().parents[2] / "bench"))
+    import workloads
+
+    work = workloads.SweepCold(SWEEP_SEED)
+    peak = tracking_peak(work.grid)
+    out: dict = {"builds": [], "decompositions": [], "failed": []}
+    for _ in range(SWEEP_ROUNDS):
+        builds: list = []
+        eighs: list = []
+        with recording(km, "_raw_matrix", builds), recording(np.linalg, "eigh", eighs):
+            for _ in range(work.round_size):
+                inputs = work.draw()
+                out["failed"] += work.check(inputs, work.compute(inputs))
+        out["builds"].append(len(builds))
+        out["decompositions"].append(len(eighs))
+    out["cache_mb_peak"] = round(peak[0] / 1e6, 2)
+    return out
+
+
 def superharmonic_probe(bh) -> dict:
+    from besselhardy import generator
+
     m = bh.WeightedMeasure(0.5)
     v1, vpow = bh.Potential.constant(1.0), bh.Potential.power(1.0, 1.0)
     out: dict = {"eigh_ms": {}, "eigh_peak_mb": {}, "sweep_ms": {}, "sha256": {}}
-    try:
-        from besselhardy import generator
-    except ImportError:  # a tree before the finite-volume generator
-        generator = None
-    if generator is not None:
-        for n in SIZES:
-            grids = [grid14(bh, n) for _ in range(REPEATS)]
-            out["eigh_ms"][str(n)] = round(best_ms(lambda: generator.spectrum(m, grids.pop(), v1)), 1)
-            tracemalloc.start()
-            generator.spectrum(m, grid14(bh, n), v1)
-            out["eigh_peak_mb"][str(n)] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
-            tracemalloc.stop()
+    for n in SIZES:
+        grids = [grid14(bh, n) for _ in range(REPEATS)]
+        out["eigh_ms"][str(n)] = round(best_ms(lambda: generator.spectrum(m, grids.pop(), v1)), 1)
+        tracemalloc.start()
+        generator.spectrum(m, grid14(bh, n), v1)
+        out["eigh_peak_mb"][str(n)] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
+        tracemalloc.stop()
     sec1, sec_pow = bh.build_section(m, v1, bh.Interval(0.0, 4.0)), bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
     profiles = {
         "V=1 I0": (v1, sec1.intervals[0]),
@@ -454,12 +524,10 @@ def hardy_probe(bh) -> dict:
     cfg = cli.RunConfig()
     m = cfg.measure
     section = bh.build_section(m, cfg.potential, cfg.window, beta=1.2)
-    takes_scheme = "scheme" in inspect.signature(bh.local_hardy_norm).parameters
-    kwargs = {"scheme": bh.SplittingScheme(steps_per_unit=8.0, min_steps=2)} if takes_scheme else {}
 
     def run(grid):
         atoms = [(bh.make_local_atom(grid, d.to_interval()), d.length) for d in section]
-        return [bh.local_hardy_norm(m, bh.Potential.zero(), a.values, tau, n_times=14, **kwargs) for a, tau in atoms]
+        return [bh.local_hardy_norm(m, bh.Potential.zero(), a.values, tau, n_times=14) for a, tau in atoms]
 
     grids = [cli._grid_for(cfg, section) for _ in range(REPEATS)]
     out: dict = {"cold_ms": round(best_ms(lambda: run(grids.pop())), 2)}
@@ -497,11 +565,13 @@ def main() -> None:
     probes = {
         "kernel": kernel_probe,
         "k": k_probe,
+        "d": d_probe,
         "fk": fk_probe,
         "cli": cli_probe,
         "import": import_probe,
         "quad": quad_probe,
         "cache": cache_probe,
+        "sweep": sweep_probe,
         "superharmonic": superharmonic_probe,
         "evolve": evolve_probe,
         "hardy": hardy_probe,
