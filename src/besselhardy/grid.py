@@ -25,13 +25,14 @@ from .measure import Interval, WeightedMeasure
 # newest; a put drops the oldest entries until the rest fit, and keeps the
 # entry just put even when it alone is larger.  The superharmonic sweep,
 # condition (D) and the Hardy norms ask for one spectrum per (grid, V) on
-# every call; a Duhamel check builds 3 Strang legs per call and uses each
-# once.  In the benchmark's sweep_cold workload (grid 900; per
-# round four sweeps under V = 1 and V = 1/x, a V = 1/x (D) check and a
-# Duhamel pair), counted over 8 rounds at seed 21, this made 6 kernel builds
-# per round, 2 spectra in the first round and none after, and held at most
-# 40.6 MB.  The two spectra take 13 MB at n = 900; one at n = 1400 takes
-# 15.7 MB.  48 MiB raised the sweep_cold peak RSS by 6% when it was tried.
+# every call; a Duhamel check reads the resolvent and puts nothing here.  In
+# the benchmark's sweep_cold workload (grid 900; per round four sweeps under
+# V = 1 and V = 1/x, a V = 1/x (D) check and a Duhamel pair), counted over 8
+# rounds at seed 21, this made no kernel build, 2 spectra in the first round
+# and none after, and held at most 13.0 MB: the two spectra.  One at
+# n = 1400 takes 15.7 MB.  The split's kernel matrices (schrodinger_apply,
+# heat_evolve) share the budget; 48 MiB raised the sweep_cold peak RSS by 6%
+# when it was tried, while the Duhamel check still built matrices.
 _CACHE_BYTES = 40 * 2**20
 
 

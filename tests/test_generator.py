@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -9,10 +10,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.linalg import expm
 
-from besselhardy import Grid, Interval, MixedGrids, Potential, WeightedMeasure, heat_kernel
+from besselhardy import GridFunction, Grid, Interval, InvalidInput, MixedGrids, Potential, WeightedMeasure, heat_kernel
 from besselhardy import generator
 from conftest import fv_generator
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tools"))
+import fv_reference  # noqa: E402
 
 
 def semigroup_matrix(spec: generator.Spectrum, t: float) -> np.ndarray:
@@ -22,12 +27,12 @@ def semigroup_matrix(spec: generator.Spectrum, t: float) -> np.ndarray:
 
 
 @st.composite
-def grids_and_potentials(draw):
+def grids_and_potentials(draw, max_n: int = 150):
     """A random grid with a potential of up to three pieces plus a power term."""
     alpha = draw(st.floats(min_value=0.2, max_value=3.0))
     x_max = draw(st.floats(min_value=2.0, max_value=60.0))
     m = WeightedMeasure(alpha)
-    n = draw(st.integers(min_value=8, max_value=150))
+    n = draw(st.integers(min_value=8, max_value=max_n))
     grid = Grid.build(m, n, x_max, draw(st.floats(min_value=1.0, max_value=1000.0)))
     pieces = []
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
@@ -188,6 +193,21 @@ class TestStructure:
         whole = m.potential_integral(v, Interval(0.0, grid.x_max))
         assert math.fsum(cells) == pytest.approx(whole, rel=1e-13, abs=1e-300)
 
+    @given(case=grids_and_potentials(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cell_means_are_the_cell_loop_bit_for_bit(self, case, data):
+        m, grid, v = case
+        # piece ends on grid edges too, where a term's end cell is clipped to nothing
+        e = grid.edges.tolist()
+        ends = st.one_of(st.sampled_from(e), st.floats(min_value=0.0, max_value=1.5 * grid.x_max))
+        pieces = list(v.pieces)
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b = sorted(data.draw(st.lists(ends, min_size=2, max_size=2, unique=True)))
+            pieces.append((a, b, data.draw(st.floats(min_value=0.0, max_value=5.0))))
+        v = Potential(pieces=tuple(pieces), power_coeff=v.power_coeff, power_exponent=v.power_exponent)
+        cells = np.array([m.potential_integral(v, Interval(a, b)) for a, b in zip(e[:-1], e[1:])]) / grid.weights
+        assert generator.cell_means(m, grid, v).tobytes() == cells.tobytes()
+
     def test_spectrum_is_the_dense_generator(self, m_half):
         grid = Grid.build(m_half, 60, 8.0, 30.0)
         v = Potential(pieces=((0.5, 2.0, 1.5),), power_coeff=0.3, power_exponent=1.2)
@@ -269,3 +289,114 @@ def test_sweep_under_one_and_two_blas_threads():
     assert small1 == small2 and csv1 == csv2
     one, two = (np.frombuffer(bytes.fromhex(h)) for h in (large1, large2))
     assert np.max(np.abs(one - two) / one) <= 1e-13
+
+
+# The resolvent's error is absolute: node-wise at most 2.8e-14 of max|f|
+# against 40-digit references of the worst of 2,400 random cases of
+# ``grids_and_potentials(60)``, and 2.9e-15 of max delta_y against eigh on
+# the sweep_cold grid.  With the conjugate factor 2 dropped every value
+# halves.
+RESOLVENT = 1e-13
+
+
+def grid14(m: WeightedMeasure, n: int) -> Grid:
+    return Grid.build(m, n, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+
+
+class TestResolvent:
+    """``generator.resolvent_sweep``: K_t f of the FV operator from contour integrals, no eigh."""
+
+    @given(
+        case=grids_and_potentials(max_n=60),
+        times=st.lists(st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_is_the_dense_exponential(self, case, times, seed):
+        m, grid, v = case
+        f = np.random.default_rng(seed).uniform(0.0, 1.0, len(grid))
+        a_v = fv_generator(m, grid, v)
+        got = generator.resolvent_sweep(m, grid, v, f, times)
+        for t, row in zip(times, got):
+            # scipy's expm of the nonsymmetric A_V has its own error: over
+            # 1,665 random cases it reached 1.6 t eps max|diag A_V| max|f| where
+            # that exceeds 1e-14, and the 40-digit reference sided with the resolvent
+            oracle = t * EPS * np.max(np.abs(np.diag(a_v)))
+            assert np.max(np.abs(row - expm(-t * a_v) @ f)) <= (RESOLVENT + 4.0 * oracle) * f.max()
+
+    def test_agrees_with_the_spectral_sweep_on_the_sweep_cold_grid(self, m_half):
+        grid = grid14(m_half, 900)
+        v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)), power_coeff=1.0, power_exponent=1.0)
+        f = GridFunction.point_mass(grid, 2.0).values
+        times = 0.5 * np.geomspace(5e-3, 1.0, 41)  # 7 windows
+        want = generator.sweep(generator.spectrum(m_half, grid, v), f, slice(None), times)
+        got = generator.resolvent_sweep(m_half, grid, v, f, times)
+        assert np.max(np.abs(got - want)) <= RESOLVENT * f.max()
+
+    @given(
+        case=grids_and_potentials(),
+        times=st.lists(st.floats(min_value=1e-4, max_value=5.0), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_positive_and_dominated_by_the_free_semigroup(self, case, times, seed):
+        m, grid, v = case
+        f = np.random.default_rng(seed).uniform(0.0, 1.0, len(grid))
+        killed = generator.resolvent_sweep(m, grid, v, f, times)
+        free = generator.resolvent_sweep(m, grid, Potential.zero(), f, times)
+        assert np.all(killed >= -RESOLVENT * f.max())
+        assert np.all(killed <= free + 2.0 * RESOLVENT * f.max())
+
+    def test_matches_the_40_digit_reference(self):
+        """Where eigh's K_t f is off by 96% of its max (``tools/fv_reference.py`` made the data)."""
+        path = Path(__file__).resolve().parent / "data" / "fv_reference.json"
+        for case in json.loads(path.read_text()):
+            m, grid, v, f = fv_reference.case_inputs(case)
+            diag, off, _ = generator._tridiagonal(m, grid, v)
+            assert fv_reference.tridiagonal_sha256(diag, off) == case["tridiagonal_sha256"], "T is not the referenced one"
+            want = np.array([float(x) for x in case["values"]])
+            got = generator.resolvent_sweep(m, grid, v, f, [case["t"]])[0]
+            assert np.max(np.abs(got - want)) <= RESOLVENT * f.max(), case["name"]
+
+    def test_times_in_any_order(self, m_half):
+        # the windows are made from the sorted times, so the order the times come in moves no bit
+        grid = Grid.build(m_half, 50, 8.0, 30.0)
+        f = np.exp(-((grid.nodes - 2.0) ** 2))
+        times = np.array([0.3, 1e-3, 2.0, 0.3, 0.05])
+        got = generator.resolvent_sweep(m_half, grid, Potential.constant(0.5), f, times)
+        in_order = generator.resolvent_sweep(m_half, grid, Potential.constant(0.5), f, np.sort(times))
+        assert np.array_equal(got[np.argsort(times, kind="stable")], in_order)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_a_bad_time(self, m_half, t):
+        grid = Grid.build(m_half, 20, 8.0, 10.0)
+        with pytest.raises(InvalidInput):
+            generator.resolvent_sweep(m_half, grid, Potential.zero(), np.ones(20), [0.5, t])
+
+    def test_rejects_another_measure(self, m_half):
+        with pytest.raises(MixedGrids):
+            generator.resolvent_sweep(WeightedMeasure(0.7), Grid.build(m_half, 20, 8.0, 10.0), Potential.zero(), np.ones(20), [0.5])
+
+
+_RESOLVENT_BITS = """
+import hashlib
+import numpy as np
+from besselhardy import Grid, GridFunction, Potential, WeightedMeasure, generator
+m = WeightedMeasure(0.5)
+grid = Grid.build(m, 900, 44.0, 300.0, breakpoints=[k / 8 for k in range(1, 17)])
+v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)), power_coeff=1.0, power_exponent=1.0)
+f = GridFunction.point_mass(grid, 2.0).values
+print(hashlib.sha256(generator.resolvent_sweep(m, grid, v, f, 0.5 * np.geomspace(5e-3, 1.0, 41)).tobytes()).hexdigest())
+"""
+
+
+def test_resolvent_under_one_and_two_blas_threads():
+    """Cyclic reduction and the einsum call no BLAS, so the bits do not depend on the thread count."""
+    src = str(Path(generator.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = set()
+    for threads in (1, 2):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=path)
+        out = subprocess.run([sys.executable, "-c", _RESOLVENT_BITS], env=env, capture_output=True, text=True, check=True)
+        digests.add(out.stdout.strip())
+    assert len(digests) == 1

@@ -678,6 +678,7 @@ class TestMatrixCache:
         """A (D) check and two Duhamel checks between two sweeps leave the sweeps' spectrum cached.
 
         The (D) check builds no kernel matrix: it decomposes its own V once.
+        The Duhamel checks build and decompose nothing.
         """
         decompositions = []
         eigh = np.linalg.eigh
@@ -706,8 +707,8 @@ class TestMatrixCache:
         scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
         for s_steps in (10, 20):
             perturbation_residual(m_half, v09, 0.5, 1.2, 2.0, grid, s_steps=s_steps, scheme=scheme)
-        assert builds  # the one-shot legs did build matrices
-        del builds[:], decompositions[:]
+        assert builds == [] and decompositions == [len(grid)] * 2  # the Duhamel checks read the resolvent
+        del decompositions[:]
         third = sweep()
         assert builds == [] and decompositions == []
         assert np.array_equal(third, first)

@@ -49,6 +49,7 @@ from besselhardy import (
     resupport_atom,
     schrodinger_apply,
 )
+from besselhardy import generator
 from besselhardy import kernel as kernel_module
 from besselhardy import semigroup as semigroup_module
 from besselhardy.grid import Grid
@@ -508,8 +509,8 @@ class TestPerturbationFormula:
             assert fine.residual < 5.0 * quad_tol
 
     def test_panel_legs_keep_their_values(self, m_half, grid_half):
-        # composite 2-point Gauss-Legendre on equal panels: a chain of h-legs
-        # to each panel start, one theta h leg from there to each node, bit for bit
+        # composite 2-point Gauss-Legendre on equal panels: each node's column
+        # from the cached FV spectrum and its row from a heat_kernel call of its own
         v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 3.0, 1.9), (3.0, 30.0, 0.4)))
         scheme = SplittingScheme(steps_per_unit=16.0, min_steps=2)
         t, x, y, panels = 0.5, 1.2, 2.0, 6
@@ -518,30 +519,39 @@ class TestPerturbationFormula:
         h = t / panels
         ix = grid_half.index_of(x)
         x = float(grid_half.nodes[ix])
-        start, rhs = GridFunction.point_mass(grid_half, y), 0.0
+        spec = generator.spectrum(m_half, grid_half, v)
+        delta, rhs = GridFunction.point_mass(grid_half, y).values, 0.0
         for k in range(panels):
             for theta, w_s in zip((0.5 * (gl_nodes + 1.0)).tolist(), (0.5 * h * gl_weights).tolist()):
-                col = schrodinger_apply(m_half, v, theta * h, start, scheme, n_steps=scheme.steps_for(theta * h))
-                row = heat_kernel(m_half, t - (k + theta) * h, x, grid_half.nodes)
-                rhs += w_s * float((row * v(grid_half.nodes) * col.values) @ grid_half.weights)
-            start = schrodinger_apply(m_half, v, h, start, scheme, n_steps=scheme.steps_for(h))
+                s = (k + theta) * h
+                col = generator.sweep(spec, delta, slice(None), np.array([s]))[0]
+                row = heat_kernel(m_half, t - s, x, grid_half.nodes)
+                rhs += w_s * float((row * v(grid_half.nodes) * col) @ grid_half.weights)
         p_xy = heat_kernel(m_half, t, x, float(grid_half.nodes[grid_half.index_of(y)]))
-        assert (rep.lhs, rep.rhs) == (p_xy - float(start.values[ix]), rhs)
+        k_xy = generator.sweep(spec, delta, ix, np.array([t]))[0]
+        # the resolvent's absolute error, about 1e-13 of max delta, against eigh's
+        assert rep.lhs == pytest.approx(p_xy - k_xy, rel=1e-10)
+        assert rep.rhs == pytest.approx(rhs, rel=1e-10)
         assert all(type(f) is float for f in (rep.residual, rep.lhs, rep.rhs, rep.scale))
 
     @pytest.mark.parametrize("panels", [4, 10, 20])
     def test_three_kernel_builds_for_any_panel_count(self, m_half, monkeypatch, panels):
-        calls, raw_matrix = [], kernel_module._raw_matrix
+        # the columns come from the resolvent: no kernel build, no eigh, nothing cached
+        calls = []
 
-        def counted(*args):
-            calls.append(args)
-            return raw_matrix(*args)
+        def counting(original):
+            def counted(*args):
+                calls.append(args)
+                return original(*args)
 
-        monkeypatch.setattr(kernel_module, "_raw_matrix", counted)
+            return counted
+
+        monkeypatch.setattr(kernel_module, "_raw_matrix", counting(kernel_module._raw_matrix))
+        monkeypatch.setattr(np.linalg, "eigh", counting(np.linalg.eigh))
         grid = Grid.build(m_half, 120, 24.0, 80.0)
         v = Potential(pieces=((0.0, 1.5, 0.7), (1.5, 30.0, 0.4)))
         perturbation_residual(m_half, v, 0.5, 1.2, 2.0, grid, s_steps=panels)
-        assert len(calls) == 3
+        assert calls == [] and not grid._matrix_cache
 
 
 def parse_line_error(text):

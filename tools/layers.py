@@ -23,7 +23,9 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   us per all-scalar ``heat_kernel`` call at the test-09 pair (x = 1.2 and
   y = 2.0 snapped to the grid-14 n = 900 nodes) at t = 0.5 and 0.01;
   ``perturbation_ms`` and raw ``perturbation_builds`` of a test-09
-  ``perturbation_residual`` at ``s_steps`` 10 and 20 on a fresh n = 900 grid;
+  ``perturbation_residual`` at ``s_steps`` 10 and 20 on a fresh n = 900 grid
+  (0 builds on trees whose Duhamel check reads ``generator.resolvent_sweep``,
+  3 on the trees before, which stepped three Strang legs);
 - ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``)
   and ``grid900`` (grid 14, n = 900, V = 1/x on its section of [0, 8]):
   ``k_ms``, ``bessel_pairs`` (Bessel factors one check evaluates),
@@ -55,8 +57,10 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``check_superharmonic`` sweeps, one ``check_condition_D`` on the V = 1/x
   section of [0, 8] and a test-09 ``perturbation_residual`` pair
   (``s_steps`` 10 and 20).  The (D) call passes ``steps_per_leg`` 9, which a
-  tree whose (D) steps Strang legs uses and a spectral (D) ignores; there
-  the Duhamel pair makes every kernel build of a round.  Keys: ``builds``
+  tree whose (D) steps Strang legs uses and a spectral (D) ignores.  On a
+  tree whose Duhamel check reads the resolvent a round builds no kernel
+  matrix; on the spectral-(D) trees before it the Duhamel pair made every
+  build of a round.  Keys: ``builds``
   (raw builds per round), ``decompositions`` (``np.linalg.eigh`` calls per
   round), ``round_ms`` (per round, one run), ``cache_mb_peak`` (the most
   ``nbytes`` of matrices and spectra the grid held after a put) and
@@ -65,6 +69,13 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   workload (``bench/workloads.py`` ``SweepCold`` of the tree's checkout,
   seed ``SWEEP_SEED``), untimed: ``builds`` and ``decompositions`` per round
   as in ``cache``, ``cache_mb_peak``, and ``failed``, the checks that failed;
+- ``resolvent``: ``generator.resolvent_sweep`` of delta_2 (the point mass
+  at the node nearest 2) under V = 1/x over one window of 21 times in
+  [0.125, 0.5] on fresh grid-14 grids at n in ``RESOLVENT_SIZES``:
+  ``window_ms``, ``solves_per_window`` (the batch of each top-level
+  ``_cyclic_reduction`` call), ``deviation`` (the largest difference from
+  ``generator.sweep`` over max delta_2) and ``sha256`` of the values.
+  Empty on trees without the resolvent;
 - ``superharmonic``: ``eigh_ms`` (one cold ``generator.spectrum`` of V = 1,
   the assembly of T and its ``eigh``, on a fresh grid 14) and
   ``eigh_peak_mb`` (its ``tracemalloc`` peak) at n in ``SIZES``;
@@ -120,6 +131,7 @@ BESSEL_EVALS = 1_000_000
 EVOLVE_DT = {"2^-6": 2.0**-6, "2^-4": 2.0**-4, "2^-2": 0.25, "1": 1.0}
 EVOLVE_STEPS = (4, 16, 128)
 SWEEP_SEED = 21
+RESOLVENT_SIZES = (420, 900, 1400)
 SWEEP_ROUNDS = 8
 
 
@@ -457,6 +469,29 @@ def sweep_probe(bh) -> dict:
     return out
 
 
+def resolvent_probe(bh) -> dict:
+    from besselhardy import generator
+
+    if not hasattr(generator, "resolvent_sweep"):
+        return {}
+    m, v = bh.WeightedMeasure(0.5), bh.Potential.power(1.0, 1.0)
+    times = 0.5 * np.geomspace(0.25, 1.0, 21)
+    out: dict = {"window_ms": {}, "solves_per_window": {}, "deviation": {}, "sha256": {}}
+    for n in RESOLVENT_SIZES:
+        grid = grid14(bh, n)
+        f = bh.GridFunction.point_mass(grid, 2.0).values
+        out["window_ms"][str(n)] = round(best_ms(lambda: generator.resolvent_sweep(m, grid, v, f, times)), 2)
+        calls: list = []
+        with recording(generator, "_cyclic_reduction", calls):
+            got = generator.resolvent_sweep(m, grid, v, f, times)
+        top = [diag.shape[0] for _, diag, _, _ in calls if diag.shape[-1] == n]
+        out["solves_per_window"][str(n)] = top[0] if len(set(top)) == 1 else top
+        want = generator.sweep(generator.spectrum(m, grid, v), f, slice(None), times)
+        out["deviation"][str(n)] = float(np.max(np.abs(got - want)) / np.max(f))
+        out["sha256"][str(n)] = sha256(got)
+    return out
+
+
 def superharmonic_probe(bh) -> dict:
     from besselhardy import generator
 
@@ -572,6 +607,7 @@ def main() -> None:
         "quad": quad_probe,
         "cache": cache_probe,
         "sweep": sweep_probe,
+        "resolvent": resolvent_probe,
         "superharmonic": superharmonic_probe,
         "evolve": evolve_probe,
         "hardy": hardy_probe,
