@@ -292,10 +292,10 @@ def test_sweep_under_one_and_two_blas_threads():
 
 
 # The resolvent's error is absolute: node-wise at most 2.8e-14 of max|f|
-# against 40-digit references of the worst of 2,400 random cases of
-# ``grids_and_potentials(60)``, and 2.9e-15 of max delta_y against eigh on
-# the sweep_cold grid.  With the conjugate factor 2 dropped every value
-# halves.
+# against 40-digit references at the five of 2,400 random (grid, V, t) draws
+# of ``grids_and_potentials(60)`` where it was farthest from expm, and 4e-15
+# of max delta_y against eigh on the sweep_cold grid.  With the conjugate
+# factor 2 dropped every value halves.
 RESOLVENT = 1e-13
 
 
