@@ -3,9 +3,9 @@
 The measure is x^alpha dx on (0, inf).  The package evaluates the exact
 Bessel heat kernel, builds stopping-time interval sections from a potential,
 evolves the Schroedinger semigroup by Strang splitting with a Feynman-Kac
-Monte Carlo cross-check (and, for the superharmonic sweep, condition (D) and
-the Hardy norms, exactly in time from the spectrum of a finite-volume
-generator), and realizes the local Hardy-space atom machinery
+Monte Carlo cross-check (and, for the superharmonic sweep, conditions (D)
+and (K) and the Hardy norms, exactly in time from the spectrum of a
+finite-volume generator), and realizes the local Hardy-space atom machinery
 (atoms, maximal functions, re-supporting) together with the large-time and
 small-time decay checks that sections are supposed to satisfy.
 """

@@ -3,10 +3,10 @@
 Subcommands mirror the library modules: kernel, section, semigroup, hardy,
 conditions, all.  Each suite writes CSV files plus a JSON summary into the
 output directory and contributes pass/fail lines; a suite that stops on an
-input error is recorded as a failed ``<suite>.error`` check.  The exit
-status is 0 only if every executed check passed.  CSV bodies are
-byte-deterministic for a fixed configuration (seed included); wall-clock
-timing lives only in the summary.
+input error or an arithmetic one (an overflow) is recorded as a failed
+``<suite>.error`` check.  The exit status is 0 only if every executed check
+passed.  CSV bodies are byte-deterministic for a fixed configuration (seed
+included); wall-clock timing lives only in the summary.
 """
 
 from __future__ import annotations
@@ -365,7 +365,7 @@ def run_conditions_suite(cfg: RunConfig) -> list[CheckResult]:
         return _decay_check(rep, cfg.out / "conditions_D.csv", ["interval", "n", "mass", "slope", "threshold", "passed"], int)
 
     def k_rate():
-        rep = cond.check_condition_K(m, cfg.potential, section, grid, t_count=5, s_nodes=16)
+        rep = cond.check_condition_K(m, cfg.potential, section, grid, t_count=5)
         return _decay_check(rep, cfg.out / "conditions_K.csv", ["interval", "t", "G", "delta", "threshold", "passed"])
 
     def superharmonic():
@@ -421,7 +421,7 @@ def run_suite(cfg: RunConfig, suite: str) -> int:
     for name in names:
         try:
             all_results.extend(_RUNNERS[name](cfg))
-        except (BesselHardyError, ValueError) as exc:
+        except (BesselHardyError, ValueError, ArithmeticError) as exc:
             all_results.append(CheckResult(f"{name}.error", False, {"error": type(exc).__name__, "message": str(exc)}, 0.0))
     summary = {
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),

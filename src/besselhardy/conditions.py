@@ -9,10 +9,10 @@ is evaluated in closed form for piecewise-constant-plus-power potentials, as
 is its derivative phi'(x) = x^{-alpha}/2 * (int_{J, y<x} V dmu - int_{J, y>x} V dmu).
 The checks: the weak form of -phi'' - (alpha/x) phi' = -1_J V including the
 boundary term at 0, monotonicity of u -> K_u phi(z), and the large-time /
-small-time decay rates of the Schroedinger mass.  The sweep of K_u phi and
-the large-time masses of (D) are read from the cached finite-volume
-spectrum of ``generator``, exact in time; the small-time check (K)
-integrates the heat kernel pointwise.
+small-time decay rates of the Schroedinger mass.  The sweep of K_u phi, the
+large-time masses of (D) and the small-time integrals of (K) are read from
+the cached finite-volume spectrum of ``generator``, exact in time; (K)
+reads the spectrum of V = 0.
 """
 
 from __future__ import annotations
@@ -22,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import generator, kernel
+from . import generator
 from .errors import BalanceUnreachable, InvalidInput, QuadratureBudgetExceeded
 from .grid import Grid, GridFunction
 from .hardy import Bump
-from .kernel import _aligned_span, _check_count, _check_time, heat_kernel, quad
+from .kernel import _check_count, _check_time, quad
 from .measure import Interval, Potential, WeightedMeasure, enlarge
 from .section import DyadicInterval, ProperSection
 
@@ -35,7 +35,6 @@ _BALANCE_ITER = 200  # or for this many steps
 _RAMP_FRAC = 0.25  # each ramp of a SmoothBump spans this fraction of its support
 _WEAK_QUAD_TOL = 1e-11  # absolute and relative quad tolerance of phi_equation_residual
 _WEAK_QUAD_LIMIT = 300  # and its panel budget per integral
-_K_PROBES = 48  # check_condition_K takes its sup over at most this many nodes per interval
 
 def balance_functional(m: WeightedMeasure, potential: Potential, interval: Interval) -> float:
     """|J|^2 / mu(J) * int_J V dmu with the plain set diameter of J."""
@@ -379,7 +378,6 @@ def check_condition_K(
     grid: Grid,
     intervals: list[DyadicInterval] | None = None,
     t_count: int = 6,
-    s_nodes: int = 24,
 ) -> DecayFitReport:
     """Small-time accumulated interaction:
 
@@ -387,66 +385,38 @@ def check_condition_K(
 
     fitted as G ~ C (t/|I|^2)^delta for t <= |I|^2.  Near-origin intervals
     (rho(0,I) <= 2|I|) must reach delta >= (1-alpha)/2 - 0.1, others
-    delta >= 1/2 - 0.1.  The s-integral is evaluated in the variable sqrt(s),
-    which absorbs the integrable s^{-(1-alpha)/2} blow-up near s = 0.
-    The y-sum runs over the grid nodes of I***, widened to the aligned span
-    of ``kernel._aligned_span``: the kernel is evaluated on those columns
-    only.  The t_count x s_nodes kernel rows of an interval (probes x span
-    pairs per node s) come from one ``heat_kernel`` call per group of
-    consecutive nodes, at most ``kernel._BLOCK_PAIRS // 2`` pairs and at
-    least one node a group, and each group is summed into the G of its times
-    before the next is evaluated.  Every node keeps its own gemv with the
-    weights and its place in the sum, and a time array gives each node the
-    bits of its scalar call, so every G is the full-width per-node sum bit
-    for bit at any group size.  An interval whose
-    I*** holds no grid node raises InvalidInput; one where V vanishes on
-    I***, so G = 0, passes as vacuous.
+    delta >= 1/2 - 0.1.  P_s is the finite-volume semigroup of ``generator``
+    with V = 0, from the cached spectrum of the zero potential: with
+    g = 1_{I***} V at the nodes, the s-integral is exact in time,
+
+        int_0^{2t} (P_s g)(x) ds = sum_j U_xj c_j (1 - e^(-2t lam_j)) / lam_j / sqrt(w_x),
+
+    c = U^T (sqrt(w) g) (``generator.integral_sweep``).  Every lam_j is
+    positive, since the last cell is killed at x_max, so nothing divides
+    by 0.  The sup runs over every node within 2|I| of I***.  An interval
+    whose I*** holds no grid node raises InvalidInput; one where V vanishes
+    on I***, so g = 0 and G = 0 exactly, passes as vacuous.
     """
     _check_count("t_count", t_count, least=3)  # the small-t half of the fit needs two points
-    _check_count("s_nodes", s_nodes)
+    potential.validate_for(m.alpha)
     chosen = _pick_intervals(section, intervals)
-    beta = section.beta
-    gl_u, gl_w = np.polynomial.legendre.leggauss(s_nodes)
-    entries = []
+    spec = generator.spectrum(m, grid, Potential.zero())
     v_nodes = np.asarray(potential(grid.nodes), dtype=np.float64)
+    entries = []
     for d in chosen:
         base = d.to_interval()
-        star3 = enlarge(base, beta**3)
+        star3 = enlarge(base, section.beta**3)
         mask = (grid.nodes >= star3.a) & (grid.nodes <= star3.b)
-        inside = np.flatnonzero(mask)
-        if not inside.size:  # G would be 0 and pass like a zero potential
+        if not mask.any():  # G would be 0 and pass like a zero potential
             raise InvalidInput(f"interval {d}: I*** = [{star3.a!r}, {star3.b!r}] holds no grid node")
-        c0, c1 = _aligned_span(inside[0], inside[-1], len(grid))
-        cols = grid.nodes[None, c0:c1]
-        weight_vec = (np.where(mask, v_nodes, 0.0) * grid.weights)[c0:c1]
         near = (grid.nodes >= star3.a - 2.0 * base.length) & (
             grid.nodes <= star3.b + 2.0 * base.length
         )
-        probes = grid.nodes[near]
-        if probes.size > _K_PROBES:
-            probes = probes[np.linspace(0, probes.size - 1, _K_PROBES).round().astype(int)]
         t0 = d.length**2
         ts = t0 * 2.0 ** (-np.arange(t_count, dtype=float))
-        u_hi = np.sqrt(2.0 * ts)[:, None]
-        us = 0.5 * u_hi * (gl_u + 1.0)  # row i: the nodes in u = sqrt(s) on [0, sqrt(2 t_i)]
-        ws = 0.5 * u_hi * gl_w
-        s_all, coef = (us * us).ravel(), (2.0 * us * ws).ravel()
-        acc = np.zeros((ts.size, probes.size))
-        # Half the kernel_matrix block budget, 32,768 pairs.  Each group is
-        # summed in before the next is evaluated, so its arrays set the peak:
-        # at the CLI config the tracemalloc peak of one check was 0.5 MB with
-        # one call per node, 32.0 MB with one call per interval, 9.2 MB with
-        # groups of 65,536 pairs and 4.9 MB with 32,768, both in 62-67 ms;
-        # one kernel_matrix build at dt = 1 on that grid peaks at 6.6 MB.
-        group = max(1, kernel._BLOCK_PAIRS // 2 // (probes.size * (c1 - c0)))
-        for k0 in range(0, s_all.size, group):
-            rows = heat_kernel(m, s_all[k0 : k0 + group, None, None], probes[:, None], cols)
-            for k, row in enumerate(rows, k0):
-                acc[k // s_nodes] += coef[k] * (row @ weight_vec)
-        gs = acc.max(axis=1)
-        threshold = (
-            (1.0 - m.alpha) / 2.0 - 0.1 if base.a <= 2.0 * base.length else 0.5 - 0.1
-        )
+        gs = generator.integral_sweep(spec, np.where(mask, v_nodes, 0.0), near, 2.0 * ts).max(axis=1)
+        near_origin = base.a <= 2.0 * base.length
+        threshold = (1.0 - m.alpha) / 2.0 - 0.1 if near_origin else 0.5 - 0.1
         if np.all(gs == 0.0):
             entries.append(
                 DecayFitEntry(str(d), ts, gs, math.inf, threshold, True, {"vacuous": True})
@@ -463,7 +433,7 @@ def check_condition_K(
                 fitted_exponent=delta,
                 threshold=threshold,
                 passed=bool(delta >= threshold),
-                extras={"near_origin": base.a <= 2.0 * base.length},
+                extras={"near_origin": near_origin},
             )
         )
     return DecayFitReport("K", entries)

@@ -30,7 +30,8 @@ matrix):
   budget as the kernel matrices (``grid._CACHE_BYTES``), and every call that
   reads it makes it the newest entry.  The superharmonic sweep and
   condition (D) of ``conditions`` and the maximal function and Hardy norms
-  of ``hardy`` use it.
+  of ``hardy`` use it, and condition (K) reads the spectrum of V = 0 through
+  ``integral_sweep``, int_0^t K_s f ds.
 * ``resolvent_sweep``: K_t f from contour integrals of (z + T)^-1, each
   window of times one batched cyclic reduction.  No ``eigh``, nothing
   cached, and no BLAS call, so its bits do not depend on the thread count.
@@ -142,15 +143,30 @@ def spectrum(m: WeightedMeasure, grid: Grid, potential: Potential) -> Spectrum:
 def sweep(spec: Spectrum, f: np.ndarray, rows, times: np.ndarray) -> np.ndarray:
     """(K_t f) at the nodes ``rows`` for each t of ``times``.
 
-    ``rows`` is one node index, which gives one value per time, or a slice
-    or index array, which gives a (len(times), len(rows)) array.
+    ``rows`` is one node index, which gives one value per time, or a slice,
+    index array or mask, which gives a (len(times), len(rows)) array.
     c = U^T (sqrt(w) f) once, then sum_j U_row,j e^(-t lam_j) c_j / sqrt(w_row)
     at every row and t.  Both products are ``np.einsum`` sums, which call no
     BLAS, so their bits do not depend on the BLAS thread count.
     """
+    return _spectral_sum(spec, f, rows, np.exp(-np.multiply.outer(times, spec.lam)))
+
+
+def integral_sweep(spec: Spectrum, f: np.ndarray, rows, times: np.ndarray) -> np.ndarray:
+    """int_0^t (K_s f) ds at the nodes ``rows`` for each t of ``times``, as ``sweep`` reads K_t f.
+
+    Exact in time: e^(-t lam_j) becomes (1 - e^(-t lam_j)) / lam_j, taken by
+    ``expm1``, so a small t lam_j loses no digits.  Every lam_j must be
+    positive; it is whenever V >= 0, since the last cell is killed at x_max.
+    """
+    return _spectral_sum(spec, f, rows, -np.expm1(-np.multiply.outer(times, spec.lam)) / spec.lam)
+
+
+def _spectral_sum(spec: Spectrum, f: np.ndarray, rows, factors: np.ndarray) -> np.ndarray:
+    """sum_j U_row,j factors_tj c_j / sqrt(w_row) with c = U^T (sqrt(w) f), by ``np.einsum``."""
     c = np.einsum("ij,i->j", spec.vectors, spec.sqrt_w * f)
     a = spec.vectors[rows] * c / spec.sqrt_w[rows, None]
-    return np.einsum("tj,...j->t...", np.exp(-np.multiply.outer(times, spec.lam)), a)
+    return np.einsum("tj,...j->t...", factors, a)
 
 
 # The parabolic contour z(u) = mu (1 + iu)^2 (Weideman & Trefethen, Math.

@@ -237,7 +237,8 @@ MASS_CAP = 1.0 - 1e-12
 _MASS_TARGET = 1.0 - 1e-10
 
 
-# Row slices that _raw_matrix evaluates at once hold at most this many candidate pairs.
+# Row slices that _raw_matrix evaluates at once hold at most this many
+# candidate pairs; nothing else reads it.
 _BLOCK_PAIRS = 1 << 16
 _MASS_QUAD_LIMIT = 250  # subinterval budget of the quad in heat_kernel_mass_residual
 
@@ -304,6 +305,7 @@ def _aligned_span(first: int, last: int, n: int) -> tuple[int, int]:
 
     A product over this span of a row whose other entries meet only +0.0
     is the full-width product bit for bit (the comment on ``_BAND_ALIGN``).
+    ``BandMatrix`` lays out its blocks with it; nothing else uses it.
     """
     a = _BAND_ALIGN
     return first // a * a, min(-(-(last + 1) // a) * a, n)

@@ -170,6 +170,8 @@ class Potential:
                 raise InvalidInput(f"piece values must be nonnegative and finite, got {v}")
         if not (0.0 <= self.power_coeff < math.inf):
             raise InvalidInput(f"power coefficient must be nonnegative and finite, got {self.power_coeff}")
+        if not math.isfinite(self.power_exponent):
+            raise InvalidInput(f"power exponent must be finite, got {self.power_exponent}")
 
     @classmethod
     def constant(cls, value: float, support: tuple[float, float] = (0.0, 1024.0)) -> "Potential":

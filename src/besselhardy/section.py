@@ -115,10 +115,13 @@ def build_section(
 
     Descends from the smallest dyadic ancestor of the window whose F exceeds 1.
     Raises DegeneratePotential when no such ancestor exists below the scale cap
-    (e.g. V identically zero).
+    (e.g. V identically zero).  ``beta``, the factor of the stars I*, I**,
+    I*** that the checks enlarge by, must be at least 1 and finite.
     """
     if not (0.0 < m.alpha < 1.0):
         raise InvalidInput("sections are constructed for alpha in (0, 1)")
+    if not 1.0 <= beta < math.inf:  # also rejects NaN; enlarge takes factors >= 1
+        raise InvalidInput(f"beta must be at least 1 and finite, got {beta!r}")
     potential.validate_for(m.alpha)
 
     n0 = max(0, math.ceil(math.log2(window.b)))

@@ -11,10 +11,11 @@ Two independent realizations:
   the L1(mu) norm of nonnegative data never increases, and neither does its
   maximum (the maximum principle).  One serial loop, ``_evolve``, runs every
   leg: its band product is one gemv per ``BandMatrix`` block.  The
-  superharmonic sweep, condition (D) and the Hardy norms do not step: they
-  read the finite-volume spectrum of ``generator``.  Nor does the Duhamel
-  check ``perturbation_residual``: it compares the exact heat kernel with
-  the finite-volume semigroup, from ``generator.resolvent_sweep``.
+  superharmonic sweep, conditions (D) and (K) and the Hardy norms do not
+  step: they read the finite-volume spectrum of ``generator``.  Nor does
+  the Duhamel check ``perturbation_residual``: it compares the exact heat
+  kernel with the finite-volume semigroup, from
+  ``generator.resolvent_sweep``.
 
 * A Feynman-Kac Monte Carlo estimator over the Bessel process of dimension
   alpha + 1, simulated by exact squared-Bessel transitions (noncentral

@@ -60,6 +60,8 @@ class TestParsing:
             (["--window", "4:1"], "--window"),
             (["--grid", "4:30:60"], "--grid"),
             (["--potential", "piece 0 1 1", "--potential-file", "{valid}"], "--potential"),
+            (["--potential", "power 1 nan"], "--potential"),
+            (["--potential", "power 1 -inf"], "--potential"),
         ],
     )
     def test_input_error_exits_2_naming_flag(self, tmp_path, capsys, args, flag):
@@ -143,6 +145,15 @@ class TestSuites:
         assert "kernel.normalization" in names
         assert "semigroup.domination_contraction" in names
         assert "section.error" in names
+
+    def test_overflow_becomes_failed_check(self, tmp_path, capsys):
+        # V = x^400 overflows Python float ** in potential_integral
+        rc = main(["all", "--potential", "power 1 -400", "--grid", "96:12:20", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "Traceback" not in capsys.readouterr().err
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        errors = {c["name"]: c["details"]["error"] for c in summary["checks"] if c["name"].endswith(".error")}
+        assert errors and set(errors.values()) == {"OverflowError"}
 
     def test_summary_passed_is_a_json_boolean(self, tmp_path):
         # a numpy bool in a check's result once reached summary.json as "True"

@@ -650,6 +650,11 @@ BAD_CALLS = {
     "build_section alpha": lambda m, g, f: build_section(
         WeightedMeasure(1.5), Potential.constant(1.0), Interval(0.0, 4.0)
     ),
+    "build_section NaN beta": lambda m, g, f: build_section(m, V1, Interval(0.0, 4.0), beta=math.nan),
+    "build_section infinite beta": lambda m, g, f: build_section(m, V1, Interval(0.0, 4.0), beta=math.inf),
+    "build_section beta below 1": lambda m, g, f: build_section(m, V1, Interval(0.0, 4.0), beta=0.5),
+    "Potential NaN power exponent": lambda m, g, f: Potential.power(1.0, math.nan),
+    "Potential infinite power exponent": lambda m, g, f: Potential.power(1.0, -math.inf),
     "Grid cells": lambda m, g, f: Grid(m, [0.0, 1.0]),
     "Grid edges": lambda m, g, f: Grid(m, [0.0, 2.0, 1.0]),
     "Grid.build size": lambda m, g, f: Grid.build(m, 1, 1.0),
@@ -697,10 +702,12 @@ BAD_CALLS = {
     ),
     "check_condition_K no times": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=0),
     "check_condition_K one-point fit": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, t_count=2),
-    "check_condition_K s_nodes": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, s_nodes=0),
     "check_condition_K no intervals": lambda m, g, f: check_condition_K(m, V1, v1_section(m), g, intervals=[]),
     "check_condition_K interval past the grid": lambda m, g, f: check_condition_K(
         m, V1, v1_section(m), g, intervals=[DyadicInterval(5, 1)]
+    ),
+    "check_condition_K potential not locally integrable": lambda m, g, f: check_condition_K(
+        m, Potential.power(1.0, 2.0), v1_section(m), g
     ),
 }
 

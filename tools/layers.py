@@ -26,11 +26,11 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``perturbation_residual`` at ``s_steps`` 10 and 20 on a fresh n = 900 grid
   (0 builds on trees whose Duhamel check reads ``generator.resolvent_sweep``,
   3 on the trees before, which stepped three Strang legs);
-- ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``)
-  and ``grid900`` (grid 14, n = 900, V = 1/x on its section of [0, 8]):
-  ``k_ms``, ``bessel_pairs`` (Bessel factors one check evaluates),
-  ``heat_kernel_calls`` (its calls of ``heat_kernel``), ``sha256`` of every
-  entry's G values and fitted exponent;
+- ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``,
+  t_count 5) and ``grid900`` (grid 14, n = 900, V = 1/x on its section of
+  [0, 8], t_count 6), called with no ``s_nodes``, so a tree whose (K) still
+  integrates the heat kernel in s runs it at its default of 24 nodes:
+  the keys of ``d``, with every entry's G values in ``sha256``;
 - ``d``: ``check_condition_D`` at ``cli`` (the check of ``besselhardy all``,
   n_max 6) and ``grid900`` (grid 14, n = 900, V = 1/x on ``intervals[1]`` of
   its section of [0, 8], n_max 8), at the default ``steps_per_leg``:
@@ -265,53 +265,16 @@ def kernel_probe(bh) -> dict:
     return out
 
 
-def k_probe(bh) -> dict:
-    from besselhardy import conditions
+def decay_probe(bh, configs: dict) -> dict:
+    """``cold_ms``, ``warm_ms``, ``builds``, ``eighs`` and ``sha256`` of a decay check per config.
+
+    ``configs`` maps a name to ``(build, run)``: ``build()`` makes a fresh
+    grid and ``run(grid)`` checks on it.
+    """
     from besselhardy import kernel as km
 
-    m = bh.WeightedMeasure(0.5)
-    v1, vpow = bh.Potential.constant(1.0), bh.Potential.power(1.0, 1.0)
-    sec1, sec_pow = bh.build_section(m, v1, bh.Interval(0.0, 4.0)), bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
-    configs = {
-        "cli": (v1, sec1, bh.Grid.build(m, 320, 30.0, 60.0, [p for d in sec1 for p in (d.a, d.b)]), 5, 16),
-        "grid900": (vpow, sec_pow, grid14(bh, 900), 6, 24),
-    }
-    out: dict = {"k_ms": {}, "bessel_pairs": {}, "heat_kernel_calls": {}, "sha256": {}}
-    for name, (potential, section, grid, t_count, s_nodes) in configs.items():
-
-        def run():
-            return bh.check_condition_K(m, potential, section, grid, t_count=t_count, s_nodes=s_nodes)
-
-        out["k_ms"][name] = round(best_ms(run), 1)
-        calls: list = []
-        kernel_calls: list = []
-        with recording(km, "bessel_i_scaled_ratio", calls), recording(conditions, "heat_kernel", kernel_calls):
-            rep = run()
-        out["bessel_pairs"][name] = sum(np.size(z) for _, z in calls)
-        out["heat_kernel_calls"][name] = len(kernel_calls)
-        out["sha256"][name] = sha256(*(a for e in rep.entries for a in (e.values, np.float64(e.fitted_exponent))))
-    return out
-
-
-def d_probe(bh) -> dict:
-    from besselhardy import cli
-    from besselhardy import kernel as km
-
-    cfg = cli.RunConfig()
-    m = cfg.measure
-    cli_section = bh.build_section(m, cfg.potential, cfg.window)
-    vpow = bh.Potential.power(1.0, 1.0)
-    sec_pow = bh.build_section(m, vpow, bh.Interval(0.0, 8.0))
-    configs = {
-        "cli": (cfg.potential, cli_section, lambda: cli._grid_for(cfg, cli_section), None, 6),
-        "grid900": (vpow, sec_pow, lambda: grid14(bh, 900), [sec_pow.intervals[1]], 8),
-    }
     out: dict = {"cold_ms": {}, "warm_ms": {}, "builds": {}, "eighs": {}, "sha256": {}}
-    for name, (potential, section, build, intervals, n_max) in configs.items():
-
-        def run(grid):
-            return bh.check_condition_D(m, potential, section, grid, intervals=intervals, n_max=n_max)
-
+    for name, (build, run) in configs.items():
         grids = [build() for _ in range(REPEATS)]
         out["cold_ms"][name] = round(best_ms(lambda: run(grids.pop())), 2)
         grid = build()
@@ -323,6 +286,42 @@ def d_probe(bh) -> dict:
         out["builds"][name], out["eighs"][name] = len(builds), len(eighs)
         out["sha256"][name] = sha256(*(a for e in rep.entries for a in (e.values, np.float64(e.fitted_exponent))))
     return out
+
+
+def decay_configs(bh):
+    """The measure, the ``besselhardy all`` config and its section and grid maker, V = 1/x and its section of [0, 8]."""
+    from besselhardy import cli
+
+    cfg = cli.RunConfig()
+    cli_section = bh.build_section(cfg.measure, cfg.potential, cfg.window)
+    vpow = bh.Potential.power(1.0, 1.0)
+    sec_pow = bh.build_section(cfg.measure, vpow, bh.Interval(0.0, 8.0))
+    return cfg.measure, cfg, cli_section, lambda: cli._grid_for(cfg, cli_section), vpow, sec_pow
+
+
+def k_probe(bh) -> dict:
+    m, cfg, cli_section, cli_grid, vpow, sec_pow = decay_configs(bh)
+    return decay_probe(
+        bh,
+        {
+            "cli": (cli_grid, lambda g: bh.check_condition_K(m, cfg.potential, cli_section, g, t_count=5)),
+            "grid900": (lambda: grid14(bh, 900), lambda g: bh.check_condition_K(m, vpow, sec_pow, g, t_count=6)),
+        },
+    )
+
+
+def d_probe(bh) -> dict:
+    m, cfg, cli_section, cli_grid, vpow, sec_pow = decay_configs(bh)
+    return decay_probe(
+        bh,
+        {
+            "cli": (cli_grid, lambda g: bh.check_condition_D(m, cfg.potential, cli_section, g, n_max=6)),
+            "grid900": (
+                lambda: grid14(bh, 900),
+                lambda g: bh.check_condition_D(m, vpow, sec_pow, g, intervals=[sec_pow.intervals[1]], n_max=8),
+            ),
+        },
+    )
 
 
 def fk_probe(bh) -> dict:
