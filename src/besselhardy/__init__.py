@@ -61,7 +61,6 @@ from .conditions import (
 )
 from .measure import (
     Interval,
-    LengthConvention,
     Potential,
     WeightedMeasure,
     ball,

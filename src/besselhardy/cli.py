@@ -208,8 +208,8 @@ def run_section_suite(cfg: RunConfig) -> list[CheckResult]:
                 str(d),
                 d.a,
                 d.b,
-                sc.s_functional(m, cfg.potential, d, section.convention),
-                sc.s_functional(m, cfg.potential, d.parent(), section.convention),
+                sc.s_functional(m, cfg.potential, d),
+                sc.s_functional(m, cfg.potential, d.parent()),
             )
             for d in section
         ]

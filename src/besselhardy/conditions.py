@@ -140,8 +140,6 @@ def find_balanced_J(m: WeightedMeasure, potential: Potential, host: DyadicInterv
             hi_s = mid
         else:
             lo_s = mid
-    if abs(gb - 1.0) > _BALANCE_TOL and abs(g_inner - 1.0) <= _BALANCE_TOL:
-        best, gb = inner, g_inner
     c_j = m.mu(best) / best.length**2
     return SuperharmonicProfile(m, potential, host, best, c_j, abs(gb - 1.0))
 
@@ -418,9 +416,8 @@ def check_condition_K(
         near_origin = base.a <= 2.0 * base.length
         threshold = (1.0 - m.alpha) / 2.0 - 0.1 if near_origin else 0.5 - 0.1
         if np.all(gs == 0.0):
-            entries.append(
-                DecayFitEntry(str(d), ts, gs, math.inf, threshold, True, {"vacuous": True})
-            )
+            extras = {"vacuous": True, "near_origin": near_origin}
+            entries.append(DecayFitEntry(str(d), ts, gs, math.inf, threshold, True, extras))
             continue
         ratio = np.log(ts / t0)
         small = ratio <= np.median(ratio)  # small-t half of the range

@@ -1,47 +1,27 @@
 """Exact arithmetic for the weighted measure x^alpha dx on the half-line.
 
-Interval masses, balls, enlargements, the length^2/mass functional and its
-nested-interval monotonicity comparand, and closed-form potential integrals.
+Interval masses, balls and enlargements (plain intervals, truncated at 0),
+the ratio gamma = (y - x)^2 / (y^{1+alpha} - x^{1+alpha}), which is
+|I|^2 / mu(I) over 1 + alpha, and closed-form potential integrals.
 Everything here is closed-form; no quadrature.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, InvalidInput, NonLocallyIntegrable
 
 
-class LengthConvention(enum.Enum):
-    """How to read |cI| when an enlarged ball pokes past the origin.
-
-    BALL uses the nominal ball diameter 2cr; TRUNCATED uses the diameter of
-    the intersection with (0, inf).  They differ only for intervals whose
-    enlargement is cut off at 0.
-    """
-
-    BALL = "ball"
-    TRUNCATED = "truncated"
-
-
 @dataclass(frozen=True)
 class Interval:
-    """Closed subinterval of [0, inf), optionally remembering its ball form.
-
-    ``a``/``b`` describe the support (already truncated at 0); ``ball_center``
-    and ``ball_radius`` are kept when the interval arose as a ball so that
-    further enlargements dilate the original ball, not the truncated set.
-    """
+    """Closed subinterval [a, b] of [0, inf)."""
 
     a: float
     b: float
-    ball_center: float | None = None
-    ball_radius: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.a < self.b < math.inf):
@@ -53,39 +33,23 @@ class Interval:
 
     @property
     def center(self) -> float:
-        return self.ball_center if self.ball_center is not None else 0.5 * (self.a + self.b)
-
-    @property
-    def radius(self) -> float:
-        return self.ball_radius if self.ball_radius is not None else 0.5 * (self.b - self.a)
-
-    @property
-    def nominal_length(self) -> float:
-        return 2.0 * self.radius
-
-    def length_by(self, convention: LengthConvention) -> float:
-        return self.nominal_length if convention is LengthConvention.BALL else self.length
+        return 0.5 * (self.a + self.b)
 
 
 def ball(x: float, r: float) -> Interval:
-    """B(x, r) intersected with (0, inf); keeps the untruncated radius."""
+    """B(x, r) intersected with (0, inf)."""
     if r <= 0.0:
         raise InvalidInput("radius must be positive")
-    return Interval(max(0.0, x - r), x + r, ball_center=x, ball_radius=r)
+    return Interval(max(0.0, x - r), x + r)
 
 
 def enlarge(interval: Interval, c: float) -> Interval:
-    """Dilate the ball form of ``interval`` by ``c >= 1`` and truncate at 0."""
+    """Dilate ``interval`` about its midpoint by ``c >= 1`` and truncate at 0."""
     if c < 1.0:
         raise InvalidInput("enlargement factor must be >= 1")
-    if c == 1.0 and interval.ball_center is None:
+    if c == 1.0:
         return interval
-    return ball(interval.center, c * interval.radius)
-
-
-class LengthMassRatio(NamedTuple):
-    value: float
-    comparand: float  # b^{1-alpha} - a^{1-alpha}
+    return ball(interval.center, 0.5 * c * interval.length)
 
 
 @dataclass(frozen=True)
@@ -118,22 +82,12 @@ class WeightedMeasure:
     def ball_mass(self, x: float, r: float) -> float:
         return self.mu_ab(max(0.0, x - r), x + r)
 
-    def length_sq_over_mass(self, interval: Interval) -> LengthMassRatio:
-        """|I|^2 / mu(I) together with the comparand b^{1-a} - a^{1-a}."""
-        mass = self.mu(interval)
-        value = interval.length**2 / mass
-        comparand = interval.b ** (1.0 - self.alpha) - interval.a ** (1.0 - self.alpha)
-        return LengthMassRatio(value, comparand)
-
     def gamma_ratio(self, x: float, y: float) -> float:
         """(y-x)^2 / (y^{1+alpha} - x^{1+alpha}) for 0 <= x < y."""
         if not (0.0 <= x < y):
             raise InvalidInput(f"need 0 <= x < y, got ({x}, {y})")
         p = 1.0 + self.alpha
         return (y - x) ** 2 / (y**p - x**p)
-
-    def doubling_ratio(self, x: float, r: float) -> float:
-        return self.ball_mass(x, 2.0 * r) / self.ball_mass(x, r)
 
     def potential_integral(self, potential: "Potential", interval: Interval) -> float:
         potential.validate_for(self.alpha)

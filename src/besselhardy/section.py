@@ -3,8 +3,10 @@
 The dyadic family is {[k 2^n, (k+1) 2^n] : k >= 1, n in Z} together with the
 left intervals (0, 2^n].  A section is selected by the stopping rule
 F(I) <= 1 < F(parent(I)) where F(I) = |2I|^2 / mu(2I) * int_{2I} V dmu.
-Endpoints are k * 2^n floats, hence exact, and F is closed-form, so the
-threshold comparison is deterministic.
+Here |2I| = 2|I|, and 2I is I dilated about its midpoint and truncated at
+0, the set that mu and the integral see.  Endpoints are k * 2^n floats,
+hence exact, and F is closed-form, so the threshold comparison is
+deterministic.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegeneratePotential, InvalidInput
-from .measure import Interval, LengthConvention, Potential, WeightedMeasure, enlarge
+from .measure import Interval, Potential, WeightedMeasure, enlarge
 
 _MAX_SCALE_UP = 400  # build_section climbs at most this many doublings above the window
 _MIN_SCALE = -80  # and descends to scale 2^_MIN_SCALE at the finest
@@ -65,15 +67,10 @@ class DyadicInterval:
         return f"left {self.n}" if self.is_left else f"std {self.k} {self.n}"
 
 
-def s_functional(
-    m: WeightedMeasure,
-    potential: Potential,
-    interval: DyadicInterval,
-    convention: LengthConvention = LengthConvention.BALL,
-) -> float:
-    """Stopping functional F(I) = |2I|^2 / mu(2I) * int_{2I} V dmu."""
+def s_functional(m: WeightedMeasure, potential: Potential, interval: DyadicInterval) -> float:
+    """Stopping functional F(I) = |2I|^2 / mu(2I) * int_{2I} V dmu, with |2I| = 2|I|."""
     doubled = enlarge(interval.to_interval(), 2.0)
-    length = doubled.length_by(convention)
+    length = 2.0 * interval.length
     mass = m.mu(doubled)
     integral = m.potential_integral(potential, doubled)
     return (length * length) * (integral / mass)
@@ -87,7 +84,6 @@ class ProperSection:
     beta: float
     c0: float
     window: Interval
-    convention: LengthConvention = LengthConvention.BALL
 
     def __len__(self) -> int:
         return len(self.intervals)
@@ -97,9 +93,8 @@ class ProperSection:
 
     def to_text(self) -> str:
         head = (
-            f"# alpha window and convention recorded by the builder\n"
-            f"# beta={self.beta!r} c0={self.c0!r} "
-            f"window={self.window.a!r}:{self.window.b!r} convention={self.convention.value}\n"
+            "# beta, c0 and window recorded by the builder\n"
+            f"# beta={self.beta!r} c0={self.c0!r} window={self.window.a!r}:{self.window.b!r}\n"
         )
         return head + "".join(str(d) + "\n" for d in self.intervals)
 
@@ -108,7 +103,6 @@ def build_section(
     m: WeightedMeasure,
     potential: Potential,
     window: Interval,
-    convention: LengthConvention = LengthConvention.BALL,
     beta: float = 1.05,
 ) -> ProperSection:
     """Collect the maximal dyadic intervals with F <= 1 that meet the window.
@@ -127,7 +121,7 @@ def build_section(
     n0 = max(0, math.ceil(math.log2(window.b)))
     root = DyadicInterval(n0, 0)
     climbs = 0
-    while s_functional(m, potential, root, convention) <= 1.0:
+    while s_functional(m, potential, root) <= 1.0:
         root = root.parent()
         climbs += 1
         if climbs > _MAX_SCALE_UP:
@@ -146,7 +140,7 @@ def build_section(
                 )
             if child.a >= window.b or child.b <= window.a:
                 continue
-            if s_functional(m, potential, child, convention) <= 1.0:
+            if s_functional(m, potential, child) <= 1.0:
                 selected.append(child)
             else:
                 stack.append(child)
@@ -156,7 +150,7 @@ def build_section(
     for prev, nxt in zip(selected, selected[1:]):
         ratio = nxt.length / prev.length
         c0 = max(c0, ratio, 1.0 / ratio)
-    return ProperSection(tuple(selected), beta, c0, window, convention)
+    return ProperSection(tuple(selected), beta, c0, window)
 
 
 @dataclass
@@ -227,8 +221,8 @@ def validate_section(
     if potential is not None:
         report.stopping_ok = True
         for d in ivs:
-            f_here = s_functional(m, potential, d, section.convention)
-            f_up = s_functional(m, potential, d.parent(), section.convention)
+            f_here = s_functional(m, potential, d)
+            f_up = s_functional(m, potential, d.parent())
             if not (f_here <= 1.0 < f_up):
                 report.stopping_ok = False
                 report.stopping_witness = f"{d}: F={f_here!r}, F(parent)={f_up!r}"
@@ -242,7 +236,6 @@ def brute_force_section(
     window: Interval,
     n_lo: int,
     n_hi: int,
-    convention: LengthConvention = LengthConvention.BALL,
 ) -> list[DyadicInterval]:
     """Enumerate every dyadic interval meeting the window over a scale range
     and keep those with F(I) <= 1 < F(parent).  Independent oracle for
@@ -250,19 +243,13 @@ def brute_force_section(
     found = []
     for n in range(n_lo, n_hi + 1):
         width = math.ldexp(1.0, n)
-        if width <= window.b:
-            candidates = [DyadicInterval(n, 0)]
-        else:
-            candidates = []
+        candidates = [DyadicInterval(n, 0)]
         k_lo = max(1, math.floor(window.a / width))
         k_hi = math.ceil(window.b / width)
         candidates.extend(DyadicInterval(n, k) for k in range(k_lo, k_hi + 1))
         for d in candidates:
             if d.a >= window.b or d.b <= window.a:
                 continue
-            if (
-                s_functional(m, potential, d, convention) <= 1.0
-                < s_functional(m, potential, d.parent(), convention)
-            ):
+            if s_functional(m, potential, d) <= 1.0 < s_functional(m, potential, d.parent()):
                 found.append(d)
     return sorted(set(found), key=lambda d: d.a)

@@ -79,7 +79,8 @@ def _evolve(
     """K_t f by ``n_steps`` Strang steps (``scheme.steps_for(t)`` when None).
 
     The one evolution loop: ``schrodinger_apply`` and ``heat_evolve`` both
-    call it, and it checks t and the step count for both.  A step is
+    call it, and it checks t, the step count and V for both: V must be
+    finite at every grid node (a power term can overflow there).  A step is
     half * (P_dt (w * (half * f))) with the products made in place in two
     buffers, and the band product is one ``np.dot`` per ``BandMatrix``
     block, the block's input slice to its output slice: the plan built once
@@ -92,7 +93,12 @@ def _evolve(
     potential.validate_for(m.alpha)
     grid = f.grid
     dt = t / steps
-    half = np.exp(-0.5 * dt * np.asarray(potential(grid.nodes), dtype=np.float64))
+    with np.errstate(over="ignore"):
+        v_nodes = np.asarray(potential(grid.nodes), dtype=np.float64)
+    if not np.isfinite(v_nodes).all():
+        x_bad = float(grid.nodes[~np.isfinite(v_nodes)][0])
+        raise InvalidInput(f"{potential!r} is not finite at the grid node x = {x_bad!r}")
+    half = np.exp(-0.5 * dt * v_nodes)
     mat = kernel_matrix(m, grid, dt)
     w = grid.weights
     x, y = np.empty(len(grid)), np.empty(len(grid))  # the matvec's input and output

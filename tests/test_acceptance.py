@@ -15,7 +15,6 @@ import pytest
 from besselhardy import (
     GridFunction,
     Interval,
-    LengthConvention,
     Potential,
     SampleSpec,
     SplittingScheme,
@@ -145,10 +144,9 @@ def test_05_section_construction(section_v1, section_pow):
     t0 = time.perf_counter()
     expected = [DyadicInterval(-1, k) for k in range(0, 8)]
     ok = True
-    for conv in LengthConvention:
-        built = build_section(M, V1, Interval(0.0, 4.0), convention=conv)
-        ok = ok and list(built.intervals) == expected
-        ok = ok and list(built.intervals) == brute_force_section(M, V1, Interval(0.0, 4.0), -6, 4, conv)
+    built = build_section(M, V1, Interval(0.0, 4.0))
+    ok = ok and list(built.intervals) == expected
+    ok = ok and list(built.intervals) == brute_force_section(M, V1, Interval(0.0, 4.0), -6, 4)
     suite = [(V1, section_v1), (VPOW, section_pow)]
     rng = np.random.default_rng(5)
     for _ in range(6):
@@ -164,8 +162,8 @@ def test_05_section_construction(section_v1, section_pow):
     n_checked = 0
     for v, sec in suite:
         for d in sec:
-            f_here = s_functional(M, v, d, sec.convention)
-            f_up = s_functional(M, v, d.parent(), sec.convention)
+            f_here = s_functional(M, v, d)
+            f_up = s_functional(M, v, d.parent())
             ok = ok and f_here <= 1.0 < f_up
             n_checked += 1
         ok = ok and validate_section(sec, M, v).ok

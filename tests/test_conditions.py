@@ -343,12 +343,15 @@ class TestConditionK:
             assert e.fitted_exponent >= 0.5 - 0.1
 
     def test_zero_potential_vacuous(self, section_v1):
+        # (0, 1/2] is near the origin and [7/2, 4] is not; both entries say which rule they got
         grid = Grid.build(M, 400, 70.0, 300.0)
-        rep = check_condition_K(
-            M, Potential.zero(), section_v1, grid, intervals=[section_v1.intervals[0]], t_count=4
-        )
+        ends = [section_v1.intervals[0], section_v1.intervals[-1]]
+        rep = check_condition_K(M, Potential.zero(), section_v1, grid, intervals=ends, t_count=4)
         assert rep.passed
-        assert rep.entries[0].extras.get("vacuous")
+        near, far = rep.entries
+        assert near.extras == {"vacuous": True, "near_origin": True}
+        assert far.extras == {"vacuous": True, "near_origin": False}
+        assert (near.threshold, far.threshold) == ((1.0 - M.alpha) / 2.0 - 0.1, 0.5 - 0.1)
 
     def test_power_potential_near_origin(self):
         sec = build_section(M, VPOW, Interval(0.0, 8.0))

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from besselhardy import (
     DegeneratePotential,
     DyadicInterval,
     Interval,
-    LengthConvention,
     Potential,
     ProperSection,
     WeightedMeasure,
@@ -83,24 +84,42 @@ class TestStoppingFunctional:
             m = WeightedMeasure(rng.uniform(0.1, 0.9))
             v = random_piecewise(rng)
             d = DyadicInterval(int(rng.integers(-4, 4)), int(rng.integers(0, 16)))
-            for conv in LengthConvention:
-                f_here = s_functional(m, v, d, conv)
-                f_up = s_functional(m, v, d.parent(), conv)
-                assert f_here <= f_up * (1.0 + 1e-12)
+            assert s_functional(m, v, d) <= s_functional(m, v, d.parent()) * (1.0 + 1e-12)
 
 
 class TestBuildSection:
     EXPECTED = [DyadicInterval(-1, 0)] + [DyadicInterval(-1, k) for k in range(1, 8)]
 
-    @pytest.mark.parametrize("conv", list(LengthConvention))
-    def test_unit_potential_window_four(self, conv):
-        sec = build_section(M, V1, Interval(0.0, 4.0), convention=conv)
+    def test_unit_potential_window_four(self):
+        sec = build_section(M, V1, Interval(0.0, 4.0))
         assert list(sec.intervals) == self.EXPECTED
 
-    @pytest.mark.parametrize("conv", list(LengthConvention))
-    def test_matches_brute_force(self, conv):
-        got = build_section(M, V1, Interval(0.0, 4.0), convention=conv)
-        want = brute_force_section(M, V1, Interval(0.0, 4.0), -6, 4, conv)
+    def test_matches_brute_force(self):
+        got = build_section(M, V1, Interval(0.0, 4.0))
+        want = brute_force_section(M, V1, Interval(0.0, 4.0), -6, 4)
+        assert list(got.intervals) == want
+
+    @given(
+        alpha=st.floats(min_value=0.05, max_value=0.95),
+        cuts=st.lists(st.floats(min_value=0.1, max_value=11.9), max_size=2, unique=True),
+        values=st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=3, max_size=3),
+        power=st.none() | st.tuples(st.floats(min_value=0.05, max_value=4.0), st.floats(min_value=-1.0, max_value=1.0)),
+        lo=st.floats(min_value=0.0, max_value=6.0),
+        width=st.floats(min_value=0.25, max_value=6.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_brute_force_on_random_potentials(self, alpha, cuts, values, power, lo, width):
+        # 1-3 pieces on [0, 12] and an optional power term; the oracle
+        # searches two scales beyond the built section's on each side
+        m = WeightedMeasure(alpha)
+        edges = [0.0, *sorted(cuts), 12.0]
+        pieces = tuple((edges[i], edges[i + 1], values[i]) for i in range(len(edges) - 1))
+        coeff, expo = power or (0.0, 0.0)
+        v = Potential(pieces=pieces, power_coeff=coeff, power_exponent=expo)
+        window = Interval(lo, lo + width)
+        got = build_section(m, v, window)
+        scales = [d.n for d in got]
+        want = brute_force_section(m, v, window, min(scales) - 2, max(scales) + 2)
         assert list(got.intervals) == want
 
     def test_zero_potential_degenerate(self):

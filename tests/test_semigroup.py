@@ -600,6 +600,9 @@ BAD_CALLS = {
     "SampleSpec negative seed": lambda m, g, f: SampleSpec(seed=-1),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
     "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
+    "schrodinger_apply potential not finite at a node": lambda m, g, f: schrodinger_apply(
+        m, Potential.power(1.0, -400.0), 0.1, f
+    ),
     "SplittingScheme steps_per_unit": lambda m, g, f: SplittingScheme(steps_per_unit=math.nan),
     "SplittingScheme min_steps": lambda m, g, f: SplittingScheme(min_steps=0),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),

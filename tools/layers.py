@@ -26,6 +26,10 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``perturbation_residual`` at ``s_steps`` 10 and 20 on a fresh n = 900 grid
   (0 builds on trees whose Duhamel check reads ``generator.resolvent_sweep``,
   3 on the trees before, which stepped three Strang legs);
+- ``section``: ``build_section`` at alpha 0.5 for ``v1`` (V = 1 on [0, 4],
+  the section of ``besselhardy all`` and of ``sweep_cold``) and ``pow``
+  (V = 1/x on [0, 8]): ``build_ms`` and ``sha256`` of its intervals (n, k)
+  and their F and F(parent) values;
 - ``k``: ``check_condition_K`` at ``cli`` (the check of ``besselhardy all``,
   t_count 5) and ``grid900`` (grid 14, n = 900, V = 1/x on its section of
   [0, 8], t_count 6), called with no ``s_nodes``, so a tree whose (K) still
@@ -74,8 +78,7 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   [0.125, 0.5] on fresh grid-14 grids at n in ``RESOLVENT_SIZES``:
   ``window_ms``, ``solves_per_window`` (the batch of each top-level
   ``_cyclic_reduction`` call), ``deviation`` (the largest difference from
-  ``generator.sweep`` over max delta_2) and ``sha256`` of the values.
-  Empty on trees without the resolvent;
+  ``generator.sweep`` over max delta_2) and ``sha256`` of the values;
 - ``superharmonic``: ``eigh_ms`` (one cold ``generator.spectrum`` of V = 1,
   the assembly of T and its ``eigh``, on a fresh grid 14) and
   ``eigh_peak_mb`` (its ``tracemalloc`` peak) at n in ``SIZES``;
@@ -210,8 +213,7 @@ def kernel_probe(bh) -> dict:
             band = bh.kernel_matrix(m, g, dt)
             out["build_peak_mb"].setdefault(str(n), {})[label] = round(tracemalloc.get_traced_memory()[1] / 1e6, 2)
             tracemalloc.stop()
-            raw = km._raw_matrix(m, g, dt)
-            raw = raw.toarray() if hasattr(raw, "toarray") else raw  # a BandMatrix, or dense in older trees
+            raw = km._raw_matrix(m, g, dt).toarray()
             out["cache_mb"].setdefault(str(n), {})[label] = round(band.nbytes / 1e6, 3)
             out["kept_pairs"][f"n={n} dt={label}"] = int(np.count_nonzero(np.triu(raw)))
             for kind, mat in (("raw", raw), ("scaled", band.toarray())):
@@ -299,6 +301,21 @@ def decay_configs(bh):
     return cfg.measure, cfg, cli_section, lambda: cli._grid_for(cfg, cli_section), vpow, sec_pow
 
 
+def section_probe(bh) -> dict:
+    m = bh.WeightedMeasure(0.5)
+    configs = {
+        "v1": (bh.Potential.constant(1.0), bh.Interval(0.0, 4.0)),
+        "pow": (bh.Potential.power(1.0, 1.0), bh.Interval(0.0, 8.0)),
+    }
+    out: dict = {"build_ms": {}, "sha256": {}}
+    for name, (v, window) in configs.items():
+        out["build_ms"][name] = round(best_ms(lambda: bh.build_section(m, v, window)), 3)
+        section = bh.build_section(m, v, window)
+        f = [(bh.s_functional(m, v, d), bh.s_functional(m, v, d.parent())) for d in section]
+        out["sha256"][name] = sha256([(d.n, d.k) for d in section], f)
+    return out
+
+
 def k_probe(bh) -> dict:
     m, cfg, cli_section, cli_grid, vpow, sec_pow = decay_configs(bh)
     return decay_probe(
@@ -340,7 +357,7 @@ def fk_probe(bh) -> dict:
         out["fk_ms"][name] = round(ms, 1)
         out["path_steps_per_s"][name] = round(1e3 * n_paths * n_steps / ms)
         out["sha256"][name] = sha256([results[-1].estimate, results[-1].stderr])
-    out["chunks"] = getattr(semigroup, "_FK_CHUNKS", 1)
+    out["chunks"] = semigroup._FK_CHUNKS
     return out
 
 
@@ -471,8 +488,6 @@ def sweep_probe(bh) -> dict:
 def resolvent_probe(bh) -> dict:
     from besselhardy import generator
 
-    if not hasattr(generator, "resolvent_sweep"):
-        return {}
     m, v = bh.WeightedMeasure(0.5), bh.Potential.power(1.0, 1.0)
     times = 0.5 * np.geomspace(0.25, 1.0, 21)
     out: dict = {"window_ms": {}, "solves_per_window": {}, "deviation": {}, "sha256": {}}
@@ -598,6 +613,7 @@ def main() -> None:
     out["src_lines"] = py_lines(src / "besselhardy")
     probes = {
         "kernel": kernel_probe,
+        "section": section_probe,
         "k": k_probe,
         "d": d_probe,
         "fk": fk_probe,
