@@ -47,10 +47,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MixedGrids
-from .grid import Grid
-from .kernel import _check_time, _zeros_line_aligned
-from .measure import Potential, WeightedMeasure
+from .grid import Grid, check_measure
+from .kernel import _check_time
+from .measure import Potential, WeightedMeasure, integral_overflow, power_or_inf
 
 
 @dataclass(frozen=True)
@@ -66,11 +65,6 @@ class Spectrum:
         return self.lam.nbytes + self.vectors.nbytes + self.sqrt_w.nbytes
 
 
-def _check_measure(m: WeightedMeasure, grid: Grid) -> None:
-    if m.alpha != grid.measure.alpha:
-        raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
-
-
 def cell_means(m: WeightedMeasure, grid: Grid, potential: Potential) -> np.ndarray:
     """Vbar: the mu-mean of V over each cell of the grid.
 
@@ -78,7 +72,8 @@ def cell_means(m: WeightedMeasure, grid: Grid, potential: Potential) -> np.ndarr
     ``potential_integral`` per cell: the edges' powers e^p are Python float
     ``**`` (``np.power`` can differ in the last bit, see ``kernel._kernel``),
     taken once per exponent, and only the cells at a term's ends are clipped
-    to it.
+    to it.  Like ``potential_integral``, it raises InvalidInput where a
+    cell's integral overflows a float, naming the first such cell.
     """
     potential.validate_for(m.alpha)
     edges = grid.edges.tolist()
@@ -87,21 +82,25 @@ def cell_means(m: WeightedMeasure, grid: Grid, potential: Potential) -> np.ndarr
     for lo, hi, coeff, expo in potential.terms():
         p = m.alpha + expo + 1.0
         if p not in powers:
-            powers[p] = np.array([e**p for e in edges])
+            powers[p] = np.array([power_or_inf(e, p) for e in edges])
         first = int(np.searchsorted(grid.edges[1:], lo, "right"))  # the first cell that ends past lo
         stop = int(np.searchsorted(grid.edges[:-1], hi, "left"))  # past the last cell that starts before hi
         if first >= stop:
             continue
         lower, upper = powers[p][first:stop].copy(), powers[p][first + 1 : stop + 1].copy()
-        lower[0] = max(edges[first], lo) ** p
-        upper[-1] = min(edges[stop], hi) ** p
-        totals[first:stop] += coeff * (upper - lower) / p
+        lower[0] = power_or_inf(max(edges[first], lo), p)
+        upper[-1] = power_or_inf(min(edges[stop], hi), p)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is inf or NaN, caught below
+            totals[first:stop] += coeff * (upper - lower) / p
+    bad = np.flatnonzero(~np.isfinite(totals))
+    if bad.size:
+        raise integral_overflow(potential, edges[bad[0]], edges[bad[0] + 1])
     return totals / grid.weights
 
 
 def _tridiagonal(m: WeightedMeasure, grid: Grid, potential: Potential) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """T's diagonal, its off-diagonal (entries (k, k - 1) for k = 1..n - 1) and sqrt(w)."""
-    _check_measure(m, grid)
+    check_measure(m, grid)
     x, e, w = grid.nodes, grid.edges, grid.weights
     g = np.zeros(len(grid) + 1)  # the conductance of each edge: none at 0
     g[1:-1] = e[1:-1] ** m.alpha / np.diff(x)
@@ -122,7 +121,7 @@ def spectrum(m: WeightedMeasure, grid: Grid, potential: Potential) -> Spectrum:
     but the eigenvectors were not, and a V = 1/x sweep's thetas differed by
     up to 8.7e-15 relative; at n = 1400 by 3.9e-15, eigenvalues too.
     """
-    _check_measure(m, grid)
+    check_measure(m, grid)
     spec = grid.cache_get(potential)
     if spec is None:
         diag, off, sqrt_w = _tridiagonal(m, grid, potential)
@@ -130,12 +129,7 @@ def spectrum(m: WeightedMeasure, grid: Grid, potential: Potential) -> Spectrum:
         i = np.arange(1, len(grid))
         t[i, i - 1] = t[i - 1, i] = off
         lam, vectors = np.linalg.eigh(t)
-        # U is held like a kernel matrix (``kernel._zeros_line_aligned``):
-        # left in eigh's malloc block, it kept the freed eigh buffers of the
-        # next spectrum in malloc's heap, 25 MB of it after sweep_cold's two
-        held = _zeros_line_aligned(vectors.size).reshape(vectors.shape)
-        held[...] = vectors
-        spec = Spectrum(lam, held, sqrt_w)
+        spec = Spectrum(lam, vectors, sqrt_w)
         grid.cache_put(potential, spec)
     return spec
 

@@ -25,15 +25,13 @@ from .measure import Interval, WeightedMeasure
 # newest; a put drops the oldest entries until the rest fit, and keeps the
 # entry just put even when it alone is larger.  The superharmonic sweep,
 # condition (D) and the Hardy norms ask for one spectrum per (grid, V) on
-# every call, and condition (K) for the one of V = 0; a Duhamel check reads
-# the resolvent and puts nothing here.  In the benchmark's sweep_cold
-# workload (grid 900; per round four sweeps under V = 1 and V = 1/x, a
-# V = 1/x (D) check and a Duhamel pair), counted over 8 rounds at seed 21,
-# this made no kernel build, 2 spectra in the first round and none after,
-# and held at most 13.0 MB: the two spectra.  One at n = 1400 takes 15.7 MB.
-# The split's kernel matrices (schrodinger_apply, heat_evolve) share the
-# budget; 48 MiB raised the sweep_cold peak RSS by 6% when it was tried,
-# while the Duhamel check still built matrices.
+# every call, and condition (K) for the one of V = 0; the split's evolutions
+# (schrodinger_apply, heat_evolve) ask for one kernel matrix per step size; a
+# Duhamel check reads the resolvent and puts nothing here.  The benchmark's
+# workloads stay well inside the budget: sweep_cold (grid 900) holds its 2
+# spectra, 13.0 MB; evolve_warm (grid 420) its 8 pool matrices, 7.4 MB; and
+# every entry of besselhardy all is under 1 MB.  One spectrum at n = 1400
+# takes 15.7 MB.
 _CACHE_BYTES = 40 * 2**20
 
 
@@ -147,6 +145,12 @@ class Grid:
         held = sum(v.nbytes for v in cache.values())
         while held > _CACHE_BYTES and len(cache) > 1:
             held -= cache.popitem(last=False)[1].nbytes
+
+
+def check_measure(m: WeightedMeasure, grid: Grid) -> None:
+    """Raise MixedGrids unless ``m`` is the grid's measure, which its weights and cache keys assume."""
+    if m.alpha != grid.measure.alpha:
+        raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
 
 
 @dataclass(frozen=True)

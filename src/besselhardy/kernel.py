@@ -63,15 +63,14 @@ most 128 nodes is one block over all n columns, the dense gemv.
 from __future__ import annotations
 
 import math
-import mmap
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bessel import bessel_i_scaled_ratio
-from .errors import InvalidInput, MixedGrids
-from .grid import Grid
+from .errors import InvalidInput
+from .grid import Grid, check_measure
 from .measure import WeightedMeasure
 
 
@@ -256,35 +255,6 @@ def _band_exponent(nu: float, t: float, n: int, max_weight: float) -> float:
     return min(max(60.0 * math.log(2.0) + log_scale, 0.0), 800.0)
 
 
-# A buffer of at least this many bytes gets an anonymous memory map of its
-# own instead of malloc's heap (``_zeros_line_aligned``).  The grid cache
-# puts and drops matrices of 2-7 MB on grids of about 900 nodes, and from
-# malloc they fragmented its heap: on the sweep_cold grid it held 31-42 MB
-# free after 30-56 rounds (``mallinfo2``), and the run's peak RSS grew with
-# the rounds it ran.  With maps from 2 MiB up, the median peak RSS of ten
-# sweep_cold runs fell from 112.7 to 105.2 MB.  Smaller matrices stay
-# with malloc, which reuses their blocks: mapping every matrix of the CLI's
-# n = 320 grid raised its peak RSS 6.7% and its run time 17% in one pair,
-# since a fresh map faults in every page it is written to.
-_MAP_BYTES = 2 * 2**20
-
-
-def _zeros_line_aligned(size: int) -> np.ndarray:
-    """``size`` zeros in a 1-D float array whose data starts on a 64-byte cache line.
-
-    A large fresh array from malloc starts 16 bytes past a page boundary;
-    dense matvecs with a matrix there ran about 10% slower than with a
-    line-aligned one.  From ``_MAP_BYTES`` up the array is a map of its own,
-    which starts on a page and whose pages go back to the system when it is
-    freed.
-    """
-    if 8 * size >= _MAP_BYTES:
-        return np.frombuffer(mmap.mmap(-1, 8 * size, flags=mmap.MAP_PRIVATE), count=size)
-    buf = np.zeros(size + 7)
-    skip = (-buf.ctypes.data % 64) // 8
-    return buf[skip : skip + size]
-
-
 # Rows per BandMatrix block.  At n = 420, 64-row blocks took 30-34 us a
 # matvec against 22-27 us dense and 21-26 us with 128 rows in one series;
 # at n = 900 64 and 128 rows tied (module docstring).  A single row left
@@ -334,7 +304,11 @@ class BandMatrix:
         spans = [(r0, r1, *_aligned_span(lo[r0], hi[r1 - 1] - 1, n)) for r0, r1 in zip(starts, starts[1:] + [n])]
         sizes = [(r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in spans]
         lines = [-(-size // 8) * 8 for size in sizes]  # whole 64-byte lines of 8 floats
-        buf = _zeros_line_aligned(sum(lines))
+        # malloc starts a large array 16 bytes past a page boundary, and dense
+        # matvecs with a matrix there ran about 10% slower than on a 64-byte line
+        padded = np.zeros(sum(lines) + 7)
+        first = (-padded.ctypes.data % 64) // 8
+        buf = padded[first : first + sum(lines)]
         blocks = []
         start = 0
         for (r0, r1, c0, c1), size, skip in zip(spans, sizes, lines):
@@ -432,8 +406,7 @@ def kernel_matrix(m: WeightedMeasure, grid: Grid, t: float) -> BandMatrix:
     the BLAS thread count, the band product does not, so the capped bits do
     not either, and no n x n divisor is built.
     """
-    if m.alpha != grid.measure.alpha:
-        raise MixedGrids(f"measure alpha {m.alpha} differs from the grid's alpha {grid.measure.alpha}")
+    check_measure(m, grid)
     _check_time(t)
     t = float(t)
     mat = grid.cache_get(t)

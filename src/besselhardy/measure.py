@@ -90,6 +90,7 @@ class WeightedMeasure:
         return (y - x) ** 2 / (y**p - x**p)
 
     def potential_integral(self, potential: "Potential", interval: Interval) -> float:
+        """int_I V dmu in closed form; InvalidInput where it overflows a float."""
         potential.validate_for(self.alpha)
         total = 0.0
         for lo, hi, coeff, expo in potential.terms():
@@ -98,8 +99,23 @@ class WeightedMeasure:
             if seg_lo >= seg_hi or coeff == 0.0:
                 continue
             p = self.alpha + expo + 1.0
-            total += coeff * (seg_hi**p - seg_lo**p) / p
+            total += coeff * (power_or_inf(seg_hi, p) - power_or_inf(seg_lo, p)) / p
+        if not math.isfinite(total):
+            raise integral_overflow(potential, interval.a, interval.b)
         return total
+
+
+def power_or_inf(x: float, p: float) -> float:
+    """x^p by Python float ``**``, or +inf where that overflows (``**`` raises there)."""
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
+
+
+def integral_overflow(potential: "Potential", a: float, b: float) -> InvalidInput:
+    """The error for an integral of ``potential`` over [a, b] that overflows a float."""
+    return InvalidInput(f"the integral of {potential!r} over [{a!r}, {b!r}] overflows a float")
 
 
 @dataclass(frozen=True)

@@ -148,9 +148,10 @@ class TestSuites:
         assert "section.error" in names
 
     def test_overflow_becomes_failed_check(self, tmp_path, capsys):
-        # V = x^400 overflows Python float ** in potential_integral, and is
-        # not finite at the grid nodes past x of about 5.9, which the
-        # semigroup suite's evolution rejects without a numpy warning
+        # V = x^400: its closed-form integrals overflow a float, which
+        # potential_integral and cell_means reject, and it is not finite at
+        # the grid nodes past x of about 5.9, which the semigroup suite's
+        # evolution rejects, both without a numpy warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             rc = main(["all", "--potential", "power 1 -400", "--grid", "96:12:20", "--out", str(tmp_path)])
@@ -159,8 +160,8 @@ class TestSuites:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         summary = json.loads((tmp_path / "summary.json").read_text())
         errors = {c["name"]: c["details"]["error"] for c in summary["checks"] if c["name"].endswith(".error")}
-        assert errors["semigroup.error"] == "InvalidInput"
-        assert set(errors.values()) == {"OverflowError", "InvalidInput"}
+        assert set(errors) == {"section.error", "semigroup.error", "hardy.error", "conditions.error"}
+        assert set(errors.values()) == {"InvalidInput"}
 
     def test_summary_passed_is_a_json_boolean(self, tmp_path):
         # a numpy bool in a check's result once reached summary.json as "True"

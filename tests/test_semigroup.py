@@ -563,6 +563,7 @@ def parse_line_error(text):
 
 
 V1 = Potential.constant(1.0)
+X400 = Potential.power(1.0, -400.0)  # V = x^400: its integrals over the table's grid overflow a float
 
 
 def v1_section(m):
@@ -603,6 +604,12 @@ BAD_CALLS = {
     "schrodinger_apply potential not finite at a node": lambda m, g, f: schrodinger_apply(
         m, Potential.power(1.0, -400.0), 0.1, f
     ),
+    "spectrum potential whose integral overflows": lambda m, g, f: generator.spectrum(m, g, X400),
+    "build_section potential whose integral overflows": lambda m, g, f: build_section(m, X400, Interval(0.0, 4.0)),
+    "perturbation_residual potential whose integral overflows": lambda m, g, f: perturbation_residual(
+        m, X400, 0.5, 1.0, 1.5, g
+    ),
+    "hardy_norm potential whose integral overflows": lambda m, g, f: hardy_norm(m, X400, f, 0.1, 1.0),
     "SplittingScheme steps_per_unit": lambda m, g, f: SplittingScheme(steps_per_unit=math.nan),
     "SplittingScheme min_steps": lambda m, g, f: SplittingScheme(min_steps=0),
     "heat_evolve time": lambda m, g, f: heat_evolve(m, math.inf, f),

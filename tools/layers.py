@@ -13,7 +13,10 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   (no cache hit is timed): ``build_ms`` of ``_raw_matrix`` and
   ``kernel_matrix_ms`` (build and cap), each the median of ``BUILDS`` builds
   after ``WARMUP_BUILDS`` untimed ones, ``build_peak_mb`` (the ``tracemalloc``
-  peak of one ``kernel_matrix`` call), ``sha256`` and ``subnormal_entries``
+  peak of one ``kernel_matrix`` call; it counts the matrix at every size,
+  while trees that gave buffers of 2 MiB or more a memory map of their own
+  hid those from ``tracemalloc`` and read lower for big builds),
+  ``sha256`` and ``subnormal_entries``
   of each raw and capped matrix, ``kept_pairs`` (nonzero raw i <= j),
   ``cache_mb`` (``BandMatrix.nbytes``); ``matvec_us`` of ``mat @ (w * v)``,
   ``band`` and ``dense`` (a line-aligned copy), at n in ``MATVEC_SIZES``;
@@ -221,7 +224,9 @@ def kernel_probe(bh) -> dict:
                 tiny = (mat != 0.0) & (np.abs(mat) < np.finfo(mat.dtype).tiny)
                 out["subnormal_entries"][f"n={n} dt={label} {kind}"] = int(np.count_nonzero(tiny))
             if n in MATVEC_SIZES:
-                dense = km._zeros_line_aligned(n * n).reshape(n, n)  # the dense cache before band storage
+                padded = np.zeros(n * n + 7)  # the dense cache before band storage, on a 64-byte line
+                skip = (-padded.ctypes.data % 64) // 8
+                dense = padded[skip : skip + n * n].reshape(n, n)
                 dense[...] = band.toarray()
                 w, v = g.weights, np.random.default_rng(0).uniform(0.0, 1.0, n)
                 for kind, op in (("band", band), ("dense", dense)):
