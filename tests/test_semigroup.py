@@ -563,7 +563,7 @@ def parse_line_error(text):
 
 
 V1 = Potential.constant(1.0)
-X400 = Potential.power(1.0, -400.0)  # V = x^400: its integrals over the table's grid overflow a float
+X400 = Potential.power(1.0, -400.0)  # V = x^400: inf at the table's far nodes, and its integrals there overflow a float
 
 
 def v1_section(m):
@@ -601,9 +601,7 @@ BAD_CALLS = {
     "SampleSpec negative seed": lambda m, g, f: SampleSpec(seed=-1),
     "schrodinger_apply time": lambda m, g, f: schrodinger_apply(m, Potential.zero(), math.nan, f),
     "schrodinger_apply steps": lambda m, g, f: schrodinger_apply(m, Potential.zero(), 0.1, f, n_steps=0),
-    "schrodinger_apply potential not finite at a node": lambda m, g, f: schrodinger_apply(
-        m, Potential.power(1.0, -400.0), 0.1, f
-    ),
+    "schrodinger_apply potential not finite at a node": lambda m, g, f: schrodinger_apply(m, X400, 0.1, f),
     "spectrum potential whose integral overflows": lambda m, g, f: generator.spectrum(m, g, X400),
     "build_section potential whose integral overflows": lambda m, g, f: build_section(m, X400, Interval(0.0, 4.0)),
     "perturbation_residual potential whose integral overflows": lambda m, g, f: perturbation_residual(

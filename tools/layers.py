@@ -14,8 +14,8 @@ digests at two trees mean the same bits.  Grid 14 is the test-14 grid (alpha
   ``kernel_matrix_ms`` (build and cap), each the median of ``BUILDS`` builds
   after ``WARMUP_BUILDS`` untimed ones, ``build_peak_mb`` (the ``tracemalloc``
   peak of one ``kernel_matrix`` call; it counts the matrix at every size,
-  while trees that gave buffers of 2 MiB or more a memory map of their own
-  hid those from ``tracemalloc`` and read lower for big builds),
+  where trees that put buffers of 2 MiB or more in memory maps of their own
+  hid them from ``tracemalloc`` and read lower for big builds),
   ``sha256`` and ``subnormal_entries``
   of each raw and capped matrix, ``kept_pairs`` (nonzero raw i <= j),
   ``cache_mb`` (``BandMatrix.nbytes``); ``matvec_us`` of ``mat @ (w * v)``,
